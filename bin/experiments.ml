@@ -751,15 +751,18 @@ let validate_tree ~seed ~count ~jobs () =
           b
       in
       let prop =
-        match Heuristics.Proportional.search ?placeable ~spec () with
+        match
+          Sim.Runner.deploy_offline ?placeable
+            ~factory:Heuristics.Proportional.strategy ~spec ()
+        with
         | None ->
           fail name "proportional search found no feasible budget";
           nan
-        | Some (_, ev) ->
-          if ev.Mcperf.Costing.total < dp -. tol dp then
+        | Some d ->
+          if d.Sim.Runner.cost < dp -. tol dp then
             fail name "proportional cost %.6f below DP optimum %.6f"
-              ev.Mcperf.Costing.total dp;
-          ev.Mcperf.Costing.total
+              d.Sim.Runner.cost dp;
+          d.Sim.Runner.cost
       in
       Printf.printf "%-22s %5d %5d %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %12s\n%!"
         name nodes sites dp lp pdhg lagr rounded prop
@@ -1040,9 +1043,9 @@ let figtree ?csv_dir ~seed ~jobs () =
              in
              ( q,
                Option.map
-                 (fun (_, (ev : Mcperf.Costing.evaluation)) ->
-                   ev.Mcperf.Costing.total)
-                 (Heuristics.Proportional.search ~spec ()) ))
+                 (fun (d : Sim.Runner.deployed) -> d.Sim.Runner.cost)
+                 (Sim.Runner.deploy_offline
+                    ~factory:Heuristics.Proportional.strategy ~spec ()) ))
            points)
     in
     let series = series @ [ prop ] in
@@ -1454,28 +1457,29 @@ let validate_strategy ~seed ~scale () =
           placement = o.EC.placement;
         }
   in
+  (* Pre-redesign placement deployment: Permission.compute under the
+     heuristic's class, then place, then Costing.evaluate, searched
+     directly over the parameter. *)
   let legacy_greedy_global ~spec () =
+    let perm =
+      Mcperf.Permission.compute spec Mcperf.Classes.storage_constrained
+    in
     let total_weight =
       Util.Vecops.sum spec.Mcperf.Spec.demand.Workload.Demand.weight
     in
     let hi = int_of_float (Float.ceil total_weight) in
-    let eval_at c =
-      Heuristics.Greedy_global.evaluate ~spec ~capacity:(float_of_int c) ()
+    let place c =
+      Heuristics.Greedy_global.place ~perm ~capacity:(float_of_int c) ()
     in
+    let eval_at c = Mcperf.Costing.evaluate perm (place c) in
     match
       Sim.Search.min_feasible_int ~lo:0 ~hi (fun c ->
           (eval_at c).Mcperf.Costing.meets_goal)
     with
     | None -> None
     | Some capacity ->
-      let e = eval_at capacity in
-      let perm =
-        Mcperf.Permission.compute spec Mcperf.Classes.storage_constrained
-      in
-      let p =
-        Heuristics.Greedy_global.place ~perm ~capacity:(float_of_int capacity)
-          ()
-      in
+      let p = place capacity in
+      let e = Mcperf.Costing.evaluate perm p in
       Some
         {
           Sim.Runner.name = "greedy-global";
@@ -1487,21 +1491,20 @@ let validate_strategy ~seed ~scale () =
         }
   in
   let legacy_greedy_replica ~spec () =
-    let hi = Mcperf.Spec.node_count spec - 1 in
-    let eval_at r =
-      Heuristics.Greedy_replica.evaluate ~spec ~replicas:r ()
+    let perm =
+      Mcperf.Permission.compute spec Mcperf.Classes.replica_constrained_uniform
     in
+    let hi = Mcperf.Spec.node_count spec - 1 in
+    let place r = Heuristics.Greedy_replica.place ~perm ~replicas:r () in
+    let eval_at r = Mcperf.Costing.evaluate perm (place r) in
     match
       Sim.Search.min_feasible_int ~lo:0 ~hi (fun r ->
           (eval_at r).Mcperf.Costing.meets_goal)
     with
     | None -> None
     | Some replicas ->
-      let e = eval_at replicas in
-      let perm =
-        Mcperf.Permission.compute spec Mcperf.Classes.replica_constrained_uniform
-      in
-      let p = Heuristics.Greedy_replica.place ~perm ~replicas () in
+      let p = place replicas in
+      let e = Mcperf.Costing.evaluate perm p in
       Some
         {
           Sim.Runner.name = "greedy-replica";
@@ -1511,6 +1514,24 @@ let validate_strategy ~seed ~scale () =
           detail = Sim.Runner.Placement e;
           placement = Some p;
         }
+  in
+  (* Pre-redesign proportional search: scan budgets upward from zero (the
+     empty placement wins when the origin already covers everything) and
+     stop at the first that meets the goal. *)
+  let legacy_proportional ~spec () =
+    let perm = Mcperf.Permission.compute spec Mcperf.Classes.general in
+    let max_total = Heuristics.Proportional.budget_ceiling perm in
+    let rec scan total =
+      if total > max_total then None
+      else
+        let placement =
+          Heuristics.Proportional.place ~perm ~total_replicas:total ()
+        in
+        let ev = Mcperf.Costing.evaluate perm placement in
+        if ev.Mcperf.Costing.meets_goal then Some (total, ev)
+        else scan (total + 1)
+    in
+    scan 0
   in
   let strip (d : Sim.Runner.deployed option) =
     (* Compare everything except the display name (factories own their
@@ -1538,7 +1559,7 @@ let validate_strategy ~seed ~scale () =
             (strip (legacy_greedy_replica ~spec ()))
             (strip (Sim.Runner.greedy_replica ~spec ()));
           check "proportional"
-            (Heuristics.Proportional.search ~spec ())
+            (legacy_proportional ~spec ())
             (match
                Sim.Runner.deploy_offline
                  ~factory:Heuristics.Proportional.strategy ~spec ()
@@ -1907,10 +1928,11 @@ let setup_faults inject =
     match inject with
     | Some spec -> spec
     | None -> (
-      match Util.Faults.of_env () with
+      match Util.Faults.of_env_result () with
       | Ok spec -> spec
-      | Error msg ->
-        Logs.warn (fun f -> f "ignoring %s: %s" Util.Faults.env_var msg);
+      | Error e ->
+        Logs.warn (fun f ->
+            f "ignoring malformed fault spec %s" (Util.Parse_error.to_string e));
         Util.Faults.none)
   in
   Util.Faults.install spec;

@@ -8,7 +8,6 @@ type cell = {
   rows : int;
   exact : bool;
   iterations : int;
-  reused : bool;
 }
 
 (* The scenario model shares Model.build's store/create skeleton and QoS
@@ -23,10 +22,6 @@ type cell = {
 type built = {
   problem : Lp.Problem.t;
   offset : float;
-  node_totals : float array;
-  always_covered : float array;
-  qos_rows : int array;
-  qos_has_terms : bool array;
   nominal_vars : int;
 }
 
@@ -157,19 +152,11 @@ let build_scenario_model (perm : Mcperf.Permission.t)
           end)
         cells)
     demand.Workload.Demand.reads;
-  let qos_rows = Array.make nodes (-1) in
-  let qos_has_terms = Array.make nodes false in
   for n = 0 to nodes - 1 do
     let rhs = (fraction *. node_totals.(n)) -. always_covered.(n) in
-    if qos_terms.(n) <> [] then begin
-      qos_has_terms.(n) <- true;
-      qos_rows.(n) <- Lp.Problem.Builder.row_count b;
+    if qos_terms.(n) <> [] then
       Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs qos_terms.(n)
-    end
-    else if rhs > 1e-9 then begin
-      qos_rows.(n) <- Lp.Problem.Builder.row_count b;
-      Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs []
-    end
+    else if rhs > 1e-9 then Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs []
   done;
   let nominal_vars = Lp.Problem.Builder.var_count b in
   (* Scenario terms: each read cell priced at its degraded fallback,
@@ -228,152 +215,66 @@ let build_scenario_model (perm : Mcperf.Permission.t)
             cells)
         demand.Workload.Demand.reads)
     scenarios;
-  {
-    problem = Lp.Problem.Builder.build b;
-    offset = !offset;
-    node_totals;
-    always_covered;
-    qos_rows;
-    qos_has_terms;
-    nominal_vars;
-  }
+  { problem = Lp.Problem.Builder.build b; offset = !offset; nominal_vars }
 
-(* Same re-targeting contract as Model.with_fraction: only the QoS rows
-   read the fraction, so a sweep is an rhs patch — unless a node with no
-   coverage options flips its explicit-infeasibility row, which forces a
-   rebuild. Returns [None] on a shape flip. *)
-let retarget built ~node_count ~fraction =
-  let shape_ok = ref true in
-  let patches = ref [] in
-  for n = 0 to node_count - 1 do
-    let rhs = (fraction *. built.node_totals.(n)) -. built.always_covered.(n) in
-    if built.qos_has_terms.(n) then
-      patches := (built.qos_rows.(n), rhs) :: !patches
-    else begin
-      let emitted = built.qos_rows.(n) >= 0 in
-      if emitted <> (rhs > 1e-9) then shape_ok := false
-      else if emitted then patches := (built.qos_rows.(n), rhs) :: !patches
-    end
-  done;
-  if not !shape_ok then None
-  else Some { built with problem = Lp.Problem.with_rhs built.problem !patches }
-
-let expected_cost_cells ?(solver = Pipeline.Auto) ?placeable
-    (spec : Mcperf.Spec.t) (cls : Mcperf.Classes.t) ~scenarios ~fractions =
-  let perm0 = Mcperf.Permission.compute ?placeable spec cls in
-  let nodes = Mcperf.Spec.node_count spec in
-  let built0 = build_scenario_model perm0 scenarios in
-  (* Warm-start state threaded through the sweep. *)
-  let prepared = ref None in
-  let warm = ref None in
-  let solve_one fraction =
-    let perm = Mcperf.Permission.with_fraction perm0 fraction in
-    let infeasible reused =
-      {
-        class_name = cls.Mcperf.Classes.name;
-        fraction;
-        feasible = false;
-        expected_bound = infinity;
-        nominal_vars = built0.nominal_vars;
-        vars = Lp.Problem.nvars built0.problem;
-        rows = Lp.Problem.nrows built0.problem;
-        exact = false;
-        iterations = 0;
-        reused;
-      }
-    in
-    if not (Mcperf.Permission.feasible perm) then begin
-      (* The oracle already knows no class placement can reach the goal;
-         keep the warm-start chain untouched for the next fraction. *)
-      infeasible (!prepared <> None)
-    end
-    else begin
-      let built, fresh =
-        match retarget built0 ~node_count:nodes ~fraction with
-        | Some b -> (b, false)
-        | None ->
-          (build_scenario_model (Mcperf.Permission.with_fraction perm0 fraction)
-             scenarios,
-           true)
-      in
-      if fresh then begin
-        prepared := None;
-        warm := None
-      end;
-      let problem = built.problem in
-      let nvars = Lp.Problem.nvars problem in
-      let nrows = Lp.Problem.nrows problem in
-      let use_simplex =
-        match solver with
-        | Pipeline.Exact_simplex -> true
-        | Pipeline.First_order _ -> false
-        | Pipeline.Auto ->
-          nvars <= simplex_size_limit
-          && nrows <= simplex_size_limit
-      in
-      let cell ~feasible ~bound ~exact ~iterations ~reused =
-        {
-          class_name = cls.Mcperf.Classes.name;
-          fraction;
-          feasible;
-          expected_bound = (if feasible then bound +. built.offset else infinity);
-          nominal_vars = built.nominal_vars;
-          vars = nvars;
-          rows = nrows;
-          exact;
-          iterations;
-          reused;
-        }
-      in
-      if use_simplex then begin
-        match Lp.Simplex.solve problem with
-        | Lp.Simplex.Optimal { objective; _ } ->
-          cell ~feasible:true ~bound:objective ~exact:true ~iterations:0
-            ~reused:false
-        | Lp.Simplex.Infeasible ->
-          cell ~feasible:false ~bound:infinity ~exact:true ~iterations:0
-            ~reused:false
-        | Lp.Simplex.Unbounded ->
-          (* Impossible for a box-bounded minimization; treat as no bound. *)
-          cell ~feasible:true ~bound:neg_infinity ~exact:false ~iterations:0
-            ~reused:false
-      end
-      else begin
-        let options =
-          match solver with
-          | Pipeline.First_order o -> o
-          | _ -> Pipeline.default_pdhg_options
-        in
-        let reused = !prepared <> None in
-        let prep = Lp.Pdhg.prepare ?reuse:!prepared problem in
-        prepared := Some prep;
-        let x0, y0 =
-          match !warm with
-          | Some (x, y) -> (Some x, Some y)
-          | None -> (None, None)
-        in
-        let outcome = Lp.Pdhg.solve_prepared ~options ?x0 ?y0 prep in
-        warm := Some (outcome.Lp.Pdhg.x, outcome.Lp.Pdhg.y);
-        cell ~feasible:true ~bound:outcome.Lp.Pdhg.best_bound ~exact:false
-          ~iterations:outcome.Lp.Pdhg.iterations ~reused
-      end
-    end
-  in
-  List.map solve_one fractions
-
-let expected_cost_bound ?solver ?placeable spec cls ~scenarios =
+let expected_cost_bound ?(solver = Pipeline.Auto) ?placeable
+    (spec : Mcperf.Spec.t) (cls : Mcperf.Classes.t) ~scenarios =
   let fraction =
     match spec.Mcperf.Spec.goal with
     | Mcperf.Spec.Qos { fraction; _ } -> fraction
     | Mcperf.Spec.Avg_latency _ ->
       invalid_arg "Avail_bound: expected-cost LP needs a QoS goal"
   in
-  match
-    expected_cost_cells ?solver ?placeable spec cls ~scenarios
-      ~fractions:[ fraction ]
-  with
-  | [ c ] -> c
-  | _ -> assert false
+  let perm = Mcperf.Permission.compute ?placeable spec cls in
+  let built = build_scenario_model perm scenarios in
+  let problem = built.problem in
+  let nvars = Lp.Problem.nvars problem in
+  let nrows = Lp.Problem.nrows problem in
+  let cell ~feasible ~bound ~exact ~iterations =
+    {
+      class_name = cls.Mcperf.Classes.name;
+      fraction;
+      feasible;
+      expected_bound = (if feasible then bound +. built.offset else infinity);
+      nominal_vars = built.nominal_vars;
+      vars = nvars;
+      rows = nrows;
+      exact;
+      iterations;
+    }
+  in
+  if not (Mcperf.Permission.feasible perm) then
+    (* The oracle already knows no class placement can reach the goal. *)
+    cell ~feasible:false ~bound:infinity ~exact:false ~iterations:0
+  else begin
+    let use_simplex =
+      match solver with
+      | Pipeline.Exact_simplex -> true
+      | Pipeline.First_order _ -> false
+      | Pipeline.Auto ->
+        nvars <= simplex_size_limit && nrows <= simplex_size_limit
+    in
+    if use_simplex then begin
+      match Lp.Simplex.solve problem with
+      | Lp.Simplex.Optimal { objective; _ } ->
+        cell ~feasible:true ~bound:objective ~exact:true ~iterations:0
+      | Lp.Simplex.Infeasible ->
+        cell ~feasible:false ~bound:infinity ~exact:true ~iterations:0
+      | Lp.Simplex.Unbounded ->
+        (* Impossible for a box-bounded minimization; treat as no bound. *)
+        cell ~feasible:true ~bound:neg_infinity ~exact:false ~iterations:0
+    end
+    else begin
+      let options =
+        match solver with
+        | Pipeline.First_order o -> o
+        | _ -> Pipeline.default_pdhg_options
+      in
+      let outcome = Lp.Pdhg.solve_prepared ~options (Lp.Pdhg.prepare problem) in
+      cell ~feasible:true ~bound:outcome.Lp.Pdhg.best_bound ~exact:false
+        ~iterations:outcome.Lp.Pdhg.iterations
+    end
+  end
 
 type group_check = {
   group : string;

@@ -133,8 +133,8 @@ let farkas_of problem =
    choice is stable across reductions), solve the reduced problem, and map
    the point and the certified bound back through [restore]/[offset].
    [reuse] threads a prepared PDHG image across structurally identical
-   sweep models; [warm] carries reduced-space iterates between consecutive
-   QoS fractions.
+   sweep models; [warm_full] lifts a full-space primal point (the online
+   engine's previous epoch) onto the reduced problem.
 
    The PDHG leg is a supervised fallback chain. A solve is *healthy* when
    every reported quantity is finite and an independent re-evaluation of
@@ -164,7 +164,6 @@ type solution = {
 type relaxation = {
   outcome : solution option;  (* [None] when the LP is infeasible *)
   prep : Lp.Pdhg.prepared option;  (* for the next cell's [reuse] *)
-  warm : (float array * float array) option;  (* reduced-space iterates *)
   path : solve_path;
   infeasible_ray : float array option;
       (* verified Farkas ray on the normalized full problem when the LP
@@ -175,7 +174,6 @@ let no_solution ?ray () =
   {
     outcome = None;
     prep = None;
-    warm = None;
     path = Path_infeasible;
     infeasible_ray = ray;
   }
@@ -200,7 +198,7 @@ let pdhg_healthy prep (out : Lp.Pdhg.outcome) =
   && Float.abs (recheck -. out.Lp.Pdhg.best_bound)
      <= 1e-9 *. (1. +. Float.abs out.Lp.Pdhg.best_bound)
 
-let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
+let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
     ?(inject_nan = false) ?deadline_s problem =
   let vars = Lp.Problem.nvars problem and rows = Lp.Problem.nrows problem in
   let pre = Lp.Presolve.run problem in
@@ -226,7 +224,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
               dual = Some (Array.make (Lp.Problem.nrows red) 0.);
             };
         prep = None;
-        warm = None;
         path = Path_presolve;
         infeasible_ray = None;
       }
@@ -254,7 +251,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
           {
             outcome = Some (simplex_solution x objective dual);
             prep = None;
-            warm = None;
             path = Path_simplex;
             infeasible_ray = None;
           }
@@ -284,27 +280,21 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
             }
           | Some _ | None -> options
         in
-        let x0, y0 =
-          match warm with
-          | Some (x0, y0)
-            when Array.length x0 = Lp.Problem.nvars red
-                 && Array.length y0 = Lp.Problem.nrows red ->
-            (Some x0, Some y0)
-          | Some _ | None -> (
-            (* A full-space primal warm start (e.g. last epoch's solution
-               lifted onto this epoch's model) projects through the
-               presolve variable map; eliminated variables drop out, new
-               ones start at the box corner like a cold start. The dual
-               starts cold — any dual iterate certifies a valid bound, so
-               warm starts can only change speed, never validity. *)
-            match warm_full with
-            | Some xf when Array.length xf = Lp.Problem.nvars problem ->
-              let x0 = Array.make (Lp.Problem.nvars red) 0. in
-              Array.iteri
-                (fun j rj -> if rj >= 0 then x0.(rj) <- xf.(j))
-                pre.Lp.Presolve.var_map;
-              (Some x0, None)
-            | Some _ | None -> (None, None))
+        (* A full-space primal warm start (e.g. last epoch's solution
+           lifted onto this epoch's model) projects through the presolve
+           variable map; eliminated variables drop out, new ones start at
+           the box corner like a cold start. The dual starts cold — any
+           dual iterate certifies a valid bound, so warm starts can only
+           change speed, never validity. *)
+        let x0 =
+          match warm_full with
+          | Some xf when Array.length xf = Lp.Problem.nvars problem ->
+            let x0 = Array.make (Lp.Problem.nvars red) 0. in
+            Array.iteri
+              (fun j rj -> if rj >= 0 then x0.(rj) <- xf.(j))
+              pre.Lp.Presolve.var_map;
+            Some x0
+          | Some _ | None -> None
         in
         let attempt ~poisoned =
           let target =
@@ -313,7 +303,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
             else red
           in
           let prep = Lp.Pdhg.prepare ?reuse target in
-          (prep, Lp.Pdhg.solve_prepared ~options ?x0 ?y0 prep)
+          (prep, Lp.Pdhg.solve_prepared ~options ?x0 prep)
         in
         let accept path prep (out : Lp.Pdhg.outcome) =
           {
@@ -333,7 +323,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
                   dual = Some out.Lp.Pdhg.best_y;
                 };
             prep = Some prep;
-            warm = Some (out.Lp.Pdhg.x, out.Lp.Pdhg.y);
             path;
             infeasible_ray = None;
           }
@@ -377,7 +366,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
               {
                 outcome = Some (simplex_solution x objective dual);
                 prep = Some prep2;
-                warm = None;
                 path = Path_simplex_fallback;
                 infeasible_ray = None;
               }
@@ -394,7 +382,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
    tagged with the leg that finally produced the bound. The span and
    path counters never touch the numbers — the raw chain above is the
    entire computation. *)
-let solve_relaxation ?solver ?reuse ?warm ?warm_full ?inject_nan ?deadline_s
+let solve_relaxation ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
     problem =
   let sp =
     Obs.Trace.span_begin "pipeline.solve_relaxation"
@@ -405,7 +393,7 @@ let solve_relaxation ?solver ?reuse ?warm ?warm_full ?inject_nan ?deadline_s
         ]
   in
   match
-    solve_relaxation_raw ?solver ?reuse ?warm ?warm_full ?inject_nan
+    solve_relaxation_raw ?solver ?reuse ?warm_full ?inject_nan
       ?deadline_s problem
   with
   | r ->
@@ -619,7 +607,6 @@ module Online = struct
     entries : (string, entry) Hashtbl.t;
     mutable solves : int;
     mutable warm_lifts : int;
-    mutable lifted_vars : int;
   }
 
   let create ?(solver = Auto) ?placeable ?(warm = true) () =
@@ -630,7 +617,6 @@ module Online = struct
       entries = Hashtbl.create 7;
       solves = 0;
       warm_lifts = 0;
-      lifted_vars = 0;
     }
 
   (* Kind-keyed primal lift: epoch models differ in dimension (more
@@ -654,32 +640,27 @@ module Online = struct
           | None -> 0.)
         model.Mcperf.Model.kinds
     in
-    if !matched = 0 then None else Some (x, !matched)
+    if !matched = 0 then None else Some x
 
   let solve h spec cls =
     h.solves <- h.solves + 1;
     let key = cls.Mcperf.Classes.name in
     let prev = if h.use_warm then Hashtbl.find_opt h.entries key else None in
     let reuse = match prev with Some e -> e.prep | None -> None in
-    let lifted = ref 0 in
+    let lifted = ref false in
     let lift_fn =
       Option.map
         (fun e model ->
-          match lift e model with
-          | Some (x, m) ->
-            lifted := m;
-            Some x
-          | None -> None)
+          let x = lift e model in
+          lifted := Option.is_some x;
+          x)
         prev
     in
     let cell, warm =
       compute_with ~solver:h.solver ?placeable:h.placeable ?reuse
         ?lift:lift_fn spec cls
     in
-    if !lifted > 0 then begin
-      h.warm_lifts <- h.warm_lifts + 1;
-      h.lifted_vars <- h.lifted_vars + !lifted
-    end;
+    if !lifted then h.warm_lifts <- h.warm_lifts + 1;
     (match warm with
     | Some w ->
       Hashtbl.replace h.entries key
@@ -689,7 +670,6 @@ module Online = struct
 
   let solves h = h.solves
   let warm_lifts h = h.warm_lifts
-  let lifted_vars h = h.lifted_vars
 end
 
 let compare_classes ?solver ?placeable spec classes =
@@ -1449,74 +1429,3 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     pool = Util.Parallel.last_pool_stats ();
     resumed;
   }
-
-let sweep_qos ?(solver = Auto) ?placeable spec fractions cls =
-  let tlat_ms =
-    match spec.Mcperf.Spec.goal with
-    | Mcperf.Spec.Qos { tlat_ms; _ } -> tlat_ms
-    | Mcperf.Spec.Avg_latency _ ->
-      invalid_arg "Pipeline.sweep_qos: requires a QoS goal"
-  in
-  let base = ref None in
-  let prep = ref None in
-  let warm = ref None in
-  List.map
-    (fun fraction ->
-      let spec =
-        {
-          spec with
-          Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction };
-        }
-      in
-      let perm =
-        match !base with
-        | Some (m : Mcperf.Model.t) ->
-          Mcperf.Permission.with_fraction m.Mcperf.Model.permission fraction
-        | None -> Mcperf.Permission.compute ?placeable spec cls
-      in
-      let worst_qos =
-        Array.fold_left Float.min 1. (Mcperf.Permission.max_feasible_qos perm)
-      in
-      if not (Mcperf.Permission.feasible perm) then begin
-        let model =
-          match !base with
-          | Some m -> Mcperf.Model.with_fraction m fraction
-          | None -> Mcperf.Model.build perm
-        in
-        ( fraction,
-          infeasible_result
-            ?ray:(farkas_of model.Mcperf.Model.problem)
-            cls worst_qos )
-      end
-      else begin
-        let dp =
-          match solver with
-          | Auto -> tree_cell ?placeable spec cls perm worst_qos
-          | Exact_simplex | First_order _ -> None
-        in
-        match dp with
-        | Some cell -> (fraction, cell)
-        | None ->
-        let model =
-          match !base with
-          | Some m -> Mcperf.Model.with_fraction m fraction
-          | None ->
-            let m = Mcperf.Model.build perm in
-            base := Some m;
-            m
-        in
-        let r =
-          solve_relaxation ~solver ?reuse:!prep ?warm:!warm
-            model.Mcperf.Model.problem
-        in
-        (match r.prep with Some p -> prep := Some p | None -> ());
-        (match r.warm with Some w -> warm := Some w | None -> ());
-        match r.outcome with
-        | None ->
-          (fraction, infeasible_result ?ray:r.infeasible_ray cls worst_qos)
-        | Some sol ->
-          ( fraction,
-            finish ~round:Rounding.Round.round ~path:r.path model cls
-              worst_qos sol )
-      end)
-    fractions

@@ -160,7 +160,7 @@ module Online : sig
   val create :
     ?solver:solver -> ?placeable:bool array -> ?warm:bool -> unit -> handle
   (** [warm:false] disables state carry-over (every solve is cold —
-      the baseline the bench compares against). *)
+      the baseline a warm run is compared against). *)
 
   val solve : handle -> Mcperf.Spec.t -> Mcperf.Classes.t -> t
   (** {!compute} with per-class warm continuation across calls. *)
@@ -169,9 +169,6 @@ module Online : sig
 
   val warm_lifts : handle -> int
   (** Solves that started from a lifted previous point. *)
-
-  val lifted_vars : handle -> int
-  (** Total variables carried over across all lifts. *)
 end
 
 val best_class : t list -> t option
@@ -197,20 +194,6 @@ val certify :
     the no-certificate failure: their witness is the DP itself, so
     {!certify} replays {!Tree_dp.of_spec} + {!Tree_dp.solve} and checks
     that the re-evaluated optimum reproduces the recorded bound. *)
-
-val sweep_qos :
-  ?solver:solver ->
-  ?placeable:bool array ->
-  Mcperf.Spec.t ->
-  float list ->
-  Mcperf.Classes.t ->
-  (float * t) list
-(** Compute the class's bound at each QoS fraction (the spec's goal
-    supplies the latency threshold; its fraction is replaced per point).
-    Sweep the fractions in ascending order: the first-order solver warm
-    starts each point from the previous solution, which typically cuts
-    iteration counts by an order of magnitude. Requires a QoS-goal
-    spec. *)
 
 (** {2 Parallel class x goal-point sweeps}
 

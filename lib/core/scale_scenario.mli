@@ -9,8 +9,8 @@
     numbers of objects share identical permission masks and read cells —
     the structure {!Mcperf.Bundle} collapses. All demand weights are 1,
     so the family is {e homogeneous}: the bundled Lagrangian bound equals
-    the unbundled one exactly (bit for bit), which the scale gates in
-    [scripts/check.sh] and [bench scale] assert. *)
+    the unbundled one exactly (bit for bit), which [figscale --check]
+    in [scripts/check.sh] asserts. *)
 
 type t = {
   name : string;

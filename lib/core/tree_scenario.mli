@@ -13,8 +13,8 @@
     rights).
 
     Used by [experiments validate --family tree] (DP vs LP vs Lagrangian
-    vs heuristics cross-checks), the tree figure, [bench tree] and the
-    differential tests. *)
+    vs heuristics cross-checks), the tree figure and the differential
+    tests. *)
 
 type shape =
   | Balanced of { fanout : int; depth : int }

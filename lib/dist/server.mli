@@ -23,10 +23,9 @@ val serve : ?host:string -> port:int -> unit -> 'a
     the actual one). *)
 
 val bind_listener : ?host:string -> port:int -> unit -> Unix.file_descr
-(** Bound, listening socket without the accept loop. Tests and the
-    bench harness bind in the parent (learning the ephemeral port via
-    {!bound_port}), then fork a child that runs {!accept_loop} on the
-    inherited descriptor. *)
+(** Bound, listening socket without the accept loop. Tests bind in the
+    parent (learning the ephemeral port via {!bound_port}), then fork a
+    child that runs {!accept_loop} on the inherited descriptor. *)
 
 val bound_port : Unix.file_descr -> int
 (** Actual port of a bound listener ([port = 0] resolves here). *)

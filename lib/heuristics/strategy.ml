@@ -90,9 +90,9 @@ let spec_of (ctx : Context.t) demand =
 (* Shared skeleton for the placement heuristics (greedy global / greedy
    replica / proportional): state is the context plus the latest
    cumulative demand; [assess] rebuilds the spec, computes the class
-   permissions, places, and prices the placement — exactly the sequence
-   of the pre-redesign [evaluate] entry points, so ported strategies
-   reproduce their legacy placements bit for bit. *)
+   permissions, places, and prices the placement — the sequence the
+   reference copies in [validate --family strategy] replay, so ported
+   strategies reproduce their pre-redesign placements bit for bit. *)
 module type PLACEMENT_RULE = sig
   val name : string
   val heuristic_class : Mcperf.Classes.t

@@ -120,8 +120,8 @@ val worst_qos : float array -> float
 (** Adapter for the interval-level placement heuristics: supply the raw
     placement rule and its class; the adapter rebuilds the spec from the
     latest cumulative demand and prices placements through
-    {!Mcperf.Costing.evaluate} — the exact sequence of the pre-redesign
-    [evaluate] entry points. *)
+    {!Mcperf.Costing.evaluate}: {!Mcperf.Permission.compute}, then
+    [place], then the costing. *)
 module type PLACEMENT_RULE = sig
   val name : string
   val heuristic_class : Mcperf.Classes.t

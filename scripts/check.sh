@@ -1,14 +1,12 @@
 #!/usr/bin/env sh
-# Full local gate: build everything (including the benchmark executable,
-# so bench-only breakage fails here and not at measurement time), run the
-# whole test suite (unit, property, differential, fault-injection, and
-# golden round-trip tests), then re-run the fault-injection suite at both
-# pool widths — recovered sweeps must be byte-identical to unfaulted
-# ones whether the pool is sequential or four workers wide.
+# Full local gate: build everything, run the whole test suite (unit,
+# property, differential, fault-injection, and golden round-trip tests),
+# then re-run the fault-injection suite at both pool widths — recovered
+# sweeps must be byte-identical to unfaulted ones whether the pool is
+# sequential or four workers wide.
 set -e
 cd "$(dirname "$0")/.."
 dune build
-dune build bench/main.exe
 dune runtest
 
 echo "== faults stage: injection suite at --jobs 1 =="

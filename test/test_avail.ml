@@ -10,8 +10,8 @@
    - assessments and replays are identical at every jobs value;
    - the scenario LP is a valid lower bound on the measured expected
      degraded cost of a goal-meeting placement;
-   - Util.Faults surfaces structured Parse_error values with the legacy
-     string wrappers layered on top. *)
+   - Util.Faults surfaces structured Parse_error values that render to
+     the message a malformed spec shows on the command line. *)
 
 module CS = Replica_select.Case_study
 
@@ -216,13 +216,14 @@ let test_faults_parse_result_error_fields () =
     Alcotest.(check string) "caller's file label is preserved" "cli"
       e.Util.Faults.file
 
-let test_faults_legacy_wrapper () =
-  match Util.Faults.parse "crash=2" with
+let test_faults_rendered_error () =
+  match Util.Faults.parse_result "crash=2" with
   | Ok _ -> Alcotest.fail "out-of-range probability accepted"
-  | Error msg ->
-    Alcotest.(check bool)
-      "legacy wrapper keeps the historical prefix" true
-      (String.length msg >= 11 && String.sub msg 0 11 = "fault spec:")
+  | Error e ->
+    Alcotest.(check string)
+      "rendered error names the source, key and value"
+      "<faults>: crash must be a probability in [0,1], got \"2\""
+      (Util.Parse_error.to_string e)
 
 let () =
   Alcotest.run "avail"
@@ -259,7 +260,7 @@ let () =
             test_faults_parse_result_ok;
           Alcotest.test_case "parse_result error fields" `Quick
             test_faults_parse_result_error_fields;
-          Alcotest.test_case "legacy wrapper prefix" `Quick
-            test_faults_legacy_wrapper;
+          Alcotest.test_case "rendered error message" `Quick
+            test_faults_rendered_error;
         ] );
     ]

@@ -296,9 +296,17 @@ let tail_spec ?(fraction = 1.0) () =
     ~goal:(Mcperf.Spec.Qos { tlat_ms = 150.; fraction })
     ()
 
+(* A placement strategy's costed evaluation at one parameter value. *)
+let evaluate factory ~spec parameter =
+  let module S = Heuristics.Strategy in
+  let ctx = S.Context.of_spec ~parameter spec in
+  match (S.assess (S.observe (factory ctx) (S.delta_of_spec spec))).S.detail with
+  | S.Evaluation e -> e
+  | S.Cache_outcome _ -> Alcotest.fail "placement strategy ran a cache"
+
 let test_greedy_global_covers () =
   let spec = tail_spec () in
-  let e = Heuristics.Greedy_global.evaluate ~spec ~capacity:1. () in
+  let e = evaluate Heuristics.Greedy_global.strategy ~spec 1 in
   Alcotest.(check bool) "meets 100% goal" true e.Mcperf.Costing.meets_goal;
   (* One slot on every site (uniform SC): padding makes all 3 sites pay
      4 intervals each, plus the creation(s). *)
@@ -306,13 +314,13 @@ let test_greedy_global_covers () =
 
 let test_greedy_global_zero_capacity () =
   let spec = tail_spec () in
-  let e = Heuristics.Greedy_global.evaluate ~spec ~capacity:0. () in
+  let e = evaluate Heuristics.Greedy_global.strategy ~spec 0 in
   Alcotest.(check bool) "cannot meet goal" false e.Mcperf.Costing.meets_goal;
   Alcotest.(check (float 1e-9)) "zero cost" 0. e.Mcperf.Costing.total
 
 let test_greedy_replica_covers () =
   let spec = tail_spec () in
-  let e = Heuristics.Greedy_replica.evaluate ~spec ~replicas:1 () in
+  let e = evaluate Heuristics.Greedy_replica.strategy ~spec 1 in
   Alcotest.(check bool) "meets goal" true e.Mcperf.Costing.meets_goal;
   (* One replica held the full horizon: 4 storage + 1 create; the uniform
      replica constraint pads nothing else (single object). *)

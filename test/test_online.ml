@@ -169,22 +169,29 @@ let test_regret_nonnegative () =
   Alcotest.(check bool) "bounds were solved" true (E.bound_solves t > 0)
 
 (* Warm starts change solve effort, never the reported bound's validity:
-   a warm run still reports nonnegative regret and the same deployments
-   as a cold run. *)
+   a warm run reports the same deployments as a cold run. Only the warm
+   engine lifts last epoch's solution into the next solve. *)
 let test_warm_vs_cold_decisions_agree () =
   let cs = Lazy.force cs in
   let run warm =
-    let _, epochs =
+    let t, epochs =
       E.run { (config ~epoch_intervals:6 ()) with E.warm } ~trace:cs.CS.trace
     in
-    List.map
-      (fun (e : E.epoch) ->
-        List.map
-          (fun (d : E.decision) -> (d.E.strategy, d.E.parameter, d.E.cost))
-          e.E.decisions)
-      epochs
+    ( E.warm_lifts t,
+      List.map
+        (fun (e : E.epoch) ->
+          List.map
+            (fun (d : E.decision) -> (d.E.strategy, d.E.parameter, d.E.cost))
+            e.E.decisions)
+        epochs )
   in
-  Alcotest.(check bool) "same deployments" true (run true = run false)
+  let warm_lifts, warm = run true and cold_lifts, cold = run false in
+  Alcotest.(check bool) "same deployments" true (warm = cold);
+  (* The lift counter is what tells a warm run from a cold one. *)
+  Alcotest.(check int) "cold engine never lifts" 0 cold_lifts;
+  Alcotest.(check bool)
+    (Printf.sprintf "warm engine lifts a prior solution (%d lifts)" warm_lifts)
+    true (warm_lifts >= 1)
 
 (* --- engine stream edge cases --------------------------------------------- *)
 

@@ -240,7 +240,11 @@ let test_trace_io_roundtrip () =
         (99.9, 2, 0, Workload.Trace.Read);
       ]
   in
-  let t2 = Workload.Trace_io.of_string (Workload.Trace_io.to_string t) in
+  let t2 =
+    match Workload.Trace_io.of_string_result (Workload.Trace_io.to_string t) with
+    | Ok t2 -> t2
+    | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
+  in
   Alcotest.(check int) "length" (Workload.Trace.length t) (Workload.Trace.length t2);
   Alcotest.(check int) "nodes" 3 (Workload.Trace.node_count t2);
   Alcotest.(check int) "objects" 5 (Workload.Trace.object_count t2);
@@ -259,21 +263,22 @@ let test_trace_io_file_roundtrip () =
   let t = Workload.Synthesize.web ~rng:(rng ()) small_web_spec in
   let path = Filename.temp_file "trace" ".csv" in
   Workload.Trace_io.save t ~path;
-  let t2 = Workload.Trace_io.load ~path in
+  let t2 = Workload.Trace_io.load_result ~path in
   Sys.remove path;
-  Alcotest.(check int) "length preserved" (Workload.Trace.length t)
-    (Workload.Trace.length t2)
+  match t2 with
+  | Ok t2 ->
+    Alcotest.(check int) "length preserved" (Workload.Trace.length t)
+      (Workload.Trace.length t2)
+  | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
 
 let test_trace_io_rejects_garbage () =
-  (match Workload.Trace_io.of_string "not a trace" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "should reject");
+  (match Workload.Trace_io.of_string_result "not a trace" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "should reject");
   let bad = "# replica-select trace v1 nodes=2 objects=2 duration_s=10\ntime_s,node,object,kind\n1.0,0,0,x\n" in
-  match Workload.Trace_io.of_string bad with
-  | exception Failure msg ->
-    Alcotest.(check bool) "line number in error" true
-      (String.length msg > 0)
-  | _ -> Alcotest.fail "should reject unknown kind"
+  match Workload.Trace_io.of_string_result bad with
+  | Error e -> Alcotest.(check int) "line number in error" 3 e.Workload.Trace_io.line
+  | Ok _ -> Alcotest.fail "should reject unknown kind"
 
 let trace_header =
   "# replica-select trace v1 nodes=2 objects=2 duration_s=10\n\
@@ -449,6 +454,7 @@ let prop_zipf_frequencies_normalized_monotone =
 let prop_zipf_fit_and_counts =
   QCheck2.Test.make ~count:100
     ~name:"mandelbrot fit honors marginals; integer counts preserve total"
+    ~print:QCheck2.Print.(tup4 int float float float)
     QCheck2.Gen.(
       tup4 (int_range 2 300) (float_range 1. 5.) (float_range 2. 10_000.)
         (float_range 0.05 0.95))
