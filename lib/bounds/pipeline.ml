@@ -529,15 +529,15 @@ let tree_cell ?placeable spec cls perm worst_qos =
       end)
 
 (* What a successful LP leg leaves behind for the next epoch of an
-   online solve: the model's variable identities, the solution point in
-   the model's own space, and the prepared PDHG image. *)
+   online solve: the model's variable identities and the solution point
+   in the model's own space. Both are plain arrays, so the state is
+   cheap to marshal back from a pool worker. *)
 type warm_state = {
   w_kinds : Mcperf.Model.var_kind array;
   w_point : float array;
-  w_prep : Lp.Pdhg.prepared option;
 }
 
-let compute_with ?(solver = Auto) ?placeable ?reuse ?lift spec cls =
+let compute_with ?(solver = Auto) ?placeable ?lift spec cls =
   let perm = Mcperf.Permission.compute ?placeable spec cls in
   let worst_qos =
     match spec.Mcperf.Spec.goal with
@@ -573,38 +573,25 @@ let compute_with ?(solver = Auto) ?placeable ?reuse ?lift spec cls =
         | Mcperf.Spec.Avg_latency _ -> Rounding.Round_avg.round
       in
       let warm_full = match lift with None -> None | Some f -> f model in
-      let r =
-        solve_relaxation ~solver ?reuse ?warm_full model.Mcperf.Model.problem
-      in
+      let r = solve_relaxation ~solver ?warm_full model.Mcperf.Model.problem in
       match r.outcome with
       | None ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
         (infeasible_result ?ray:r.infeasible_ray cls worst_qos, None)
       | Some sol ->
         ( finish ~round ~path:r.path model cls worst_qos sol,
-          Some
-            {
-              w_kinds = model.Mcperf.Model.kinds;
-              w_point = sol.point;
-              w_prep = r.prep;
-            } ))
+          Some { w_kinds = model.Mcperf.Model.kinds; w_point = sol.point } ))
   end
 
 let compute ?solver ?placeable spec cls =
   fst (compute_with ?solver ?placeable spec cls)
 
 module Online = struct
-  type entry = {
-    kinds : Mcperf.Model.var_kind array;
-    point : float array;
-    prep : Lp.Pdhg.prepared option;
-  }
-
   type handle = {
     solver : solver;
     placeable : bool array option;
     use_warm : bool;
-    entries : (string, entry) Hashtbl.t;
+    entries : (string, warm_state) Hashtbl.t;
     mutable solves : int;
     mutable warm_lifts : int;
   }
@@ -624,11 +611,9 @@ module Online = struct
      variable identities do. Every (node, interval, object) variable the
      previous model also had starts at last epoch's value; variables new
      to this epoch start cold. *)
-  let lift entry (model : Mcperf.Model.t) =
-    let tbl = Hashtbl.create (Array.length entry.kinds) in
-    Array.iteri
-      (fun j k -> Hashtbl.replace tbl k entry.point.(j))
-      entry.kinds;
+  let lift w (model : Mcperf.Model.t) =
+    let tbl = Hashtbl.create (Array.length w.w_kinds) in
+    Array.iteri (fun j k -> Hashtbl.replace tbl k w.w_point.(j)) w.w_kinds;
     let matched = ref 0 in
     let x =
       Array.map
@@ -642,31 +627,41 @@ module Online = struct
     in
     if !matched = 0 then None else Some x
 
-  let solve h spec cls =
-    h.solves <- h.solves + 1;
-    let key = cls.Mcperf.Classes.name in
-    let prev = if h.use_warm then Hashtbl.find_opt h.entries key else None in
-    let reuse = match prev with Some e -> e.prep | None -> None in
+  (* One class's re-solve as a pool task. It reads the class's warm
+     entry from the handle — a worker sees the parent's handle as of the
+     [fork] — and never mutates the handle: it returns the new warm
+     state and whether the lift applied, for the parent to record. *)
+  let solve_one h spec cls =
+    let prev =
+      if h.use_warm then Hashtbl.find_opt h.entries cls.Mcperf.Classes.name
+      else None
+    in
     let lifted = ref false in
     let lift_fn =
       Option.map
-        (fun e model ->
-          let x = lift e model in
+        (fun w model ->
+          let x = lift w model in
           lifted := Option.is_some x;
           x)
         prev
     in
     let cell, warm =
-      compute_with ~solver:h.solver ?placeable:h.placeable ?reuse
-        ?lift:lift_fn spec cls
+      compute_with ~solver:h.solver ?placeable:h.placeable ?lift:lift_fn spec
+        cls
     in
-    if !lifted then h.warm_lifts <- h.warm_lifts + 1;
-    (match warm with
-    | Some w ->
-      Hashtbl.replace h.entries key
-        { kinds = w.w_kinds; point = w.w_point; prep = w.w_prep }
-    | None -> ());
-    cell
+    (cell, warm, !lifted)
+
+  let solve_all ~jobs h spec classes =
+    let solved =
+      Util.Parallel.map_values ~jobs ~f:(solve_one h spec) classes
+    in
+    List.map2
+      (fun cls (cell, warm, lifted) ->
+        h.solves <- h.solves + 1;
+        if lifted then h.warm_lifts <- h.warm_lifts + 1;
+        Option.iter (Hashtbl.replace h.entries cls.Mcperf.Classes.name) warm;
+        cell)
+      classes solved
 
   let solves h = h.solves
   let warm_lifts h = h.warm_lifts

@@ -153,7 +153,14 @@ val compare_classes :
     through the presolve variable map. The dual always starts cold, and
     a PDHG bound is certified at {e any} dual iterate, so warm starts
     affect speed only, never validity. Exact (simplex / tree-DP) legs
-    ignore the warm start and stay bit-identical to {!compute}. *)
+    ignore the warm start and stay bit-identical to {!compute}.
+
+    The classes of one epoch are independent — each reads only its own
+    entry — so {!solve_all} solves them as pool tasks. A worker reads
+    the entry from the handle it inherited through [fork] and ships back
+    the cell plus the new entry (two plain arrays); the parent records
+    the entries and counters in class order, so the handle evolves
+    identically at every [jobs]. *)
 module Online : sig
   type handle
 
@@ -162,8 +169,14 @@ module Online : sig
   (** [warm:false] disables state carry-over (every solve is cold —
       the baseline a warm run is compared against). *)
 
-  val solve : handle -> Mcperf.Spec.t -> Mcperf.Classes.t -> t
-  (** {!compute} with per-class warm continuation across calls. *)
+  val solve_all :
+    jobs:int -> handle -> Mcperf.Spec.t -> Mcperf.Classes.t list -> t list
+  (** {!compute} for each class, in order, with per-class warm
+      continuation across calls, fanned out over up to [jobs] pool
+      workers ({!Util.Parallel.map_values}). Every class starts from the
+      entry its name held before the call. A class solve that raises
+      surfaces as {!Util.Parallel.Task_failed} and leaves the handle
+      untouched. *)
 
   val solves : handle -> int
 

@@ -142,8 +142,118 @@ let search_one (cfg : config) deltas (label, factory) =
       regret = None;
     }
 
-let feed t chunk =
+(* The distinct heuristic classes among the strategies, in first-seen
+   order: one bound solve each. *)
+let classes (cfg : config) =
+  let ctx =
+    Heuristics.Strategy.Context.make ~system:cfg.system
+      ?placeable:cfg.placeable ~costs:cfg.costs ~goal:cfg.goal ()
+  in
+  List.fold_left
+    (fun acc (_, factory) ->
+      let cls = Heuristics.Strategy.heuristic_class (factory ctx) in
+      if
+        List.exists
+          (fun c -> c.Mcperf.Classes.name = cls.Mcperf.Classes.name)
+          acc
+      then acc
+      else acc @ [ cls ])
+    [] cfg.strategies
+
+(* Ingest [chunk], then search and bound on everything observed so far.
+   Both phases go through the order-preserving pool at every [jobs] —
+   its sequential path opens the same per-task trace scopes — so the
+   epoch report and the logical trace are byte-identical at any
+   [jobs]. *)
+let run_epoch t ~index chunk =
   let cfg = t.config in
+  let start_interval = Workload.Incremental.intervals t.incr in
+  let incr = Workload.Incremental.extend t.incr chunk in
+  let trace =
+    match t.trace with
+    | None -> chunk
+    | Some prev -> Workload.Trace.extend prev chunk
+  in
+  t.incr <- incr;
+  t.trace <- Some trace;
+  let intervals = Workload.Incremental.intervals incr in
+  let demand = Workload.Incremental.demand incr in
+  t.deltas <-
+    {
+      Heuristics.Strategy.epoch = index;
+      start_interval;
+      intervals;
+      demand;
+      chunk = Some chunk;
+      trace = Some trace;
+    }
+    :: t.deltas;
+  let report ~bounds ~decisions ~search_s ~solve_s =
+    {
+      index;
+      intervals;
+      chunk_events = Workload.Trace.length chunk;
+      total_events = Workload.Incremental.events incr;
+      working_set =
+        Workload.Incremental.working_set incr ~window:cfg.epoch_intervals;
+      bounds;
+      decisions;
+      search_s;
+      solve_s;
+    }
+  in
+  if Workload.Demand.total_reads demand <= 0. then
+    (* Nothing to place or bound yet: a warm-up epoch. *)
+    report ~bounds:[] ~decisions:[] ~search_s:0. ~solve_s:0.
+  else begin
+    let spec =
+      Mcperf.Spec.make ~system:cfg.system ~demand ~costs:cfg.costs
+        ~goal:cfg.goal ()
+    in
+    let t0 = Unix.gettimeofday () in
+    let searches =
+      Util.Parallel.map_values ~jobs:cfg.jobs
+        ~f:(search_one cfg t.deltas)
+        cfg.strategies
+    in
+    let t1 = Unix.gettimeofday () in
+    (* One warm-started class bound per distinct class, solved in the
+       pool; the handle advances in class order in the parent. *)
+    let classes = classes cfg in
+    let bounds =
+      List.combine
+        (List.map (fun c -> c.Mcperf.Classes.name) classes)
+        (Bounds.Pipeline.Online.solve_all ~jobs:cfg.jobs t.handle spec
+           classes)
+    in
+    Obs.Metrics.incr ~by:(List.length bounds) (Lazy.force m_solves);
+    let t2 = Unix.gettimeofday () in
+    let decisions =
+      List.map
+        (fun d ->
+          let bound =
+            match List.assoc_opt d.class_name bounds with
+            | Some (r : Bounds.Pipeline.t) when r.Bounds.Pipeline.feasible ->
+              Some r.Bounds.Pipeline.lower_bound
+            | Some _ | None -> None
+          in
+          let regret =
+            match (d.cost, bound) with
+            | Some c, Some b ->
+              let r = c -. b in
+              Obs.Metrics.observe (Lazy.force m_regret) r;
+              Some r
+            | _ -> None
+          in
+          { d with bound; regret })
+        searches
+    in
+    report ~bounds ~decisions ~search_s:(t1 -. t0) ~solve_s:(t2 -. t1)
+  end
+
+(* The epoch span closes on every exit: an ingest, search or solve that
+   raises must not leave it open for later spans to nest under. *)
+let feed t chunk =
   let index = List.length t.epochs in
   let sp =
     Obs.Trace.span_begin "online.epoch"
@@ -153,7 +263,11 @@ let feed t chunk =
           ("events", Obs.Trace.Int (Workload.Trace.length chunk));
         ]
   in
-  let finish epoch =
+  match run_epoch t ~index chunk with
+  | exception e ->
+    Obs.Trace.span_end sp ~attrs:[ ("error", Obs.Trace.Bool true) ];
+    raise e
+  | epoch ->
     Obs.Metrics.incr (Lazy.force m_epochs);
     Obs.Metrics.incr ~by:(List.length epoch.decisions)
       (Lazy.force m_decisions);
@@ -165,130 +279,6 @@ let feed t chunk =
           ("decisions", Obs.Trace.Int (List.length epoch.decisions));
         ];
     epoch
-  in
-  match
-    let start_interval = Workload.Incremental.intervals t.incr in
-    let incr = Workload.Incremental.extend t.incr chunk in
-    let trace =
-      match t.trace with
-      | None -> chunk
-      | Some prev -> Workload.Trace.extend prev chunk
-    in
-    t.incr <- incr;
-    t.trace <- Some trace;
-    let intervals = Workload.Incremental.intervals incr in
-    let delta =
-      {
-        Heuristics.Strategy.epoch = index;
-        start_interval;
-        intervals;
-        demand = Workload.Incremental.demand incr;
-        chunk = Some chunk;
-        trace = Some trace;
-      }
-    in
-    (incr, delta)
-  with
-  | exception e ->
-    Obs.Trace.span_end sp ~attrs:[ ("error", Obs.Trace.Bool true) ];
-    raise e
-  | incr, delta ->
-    let intervals = Workload.Incremental.intervals incr in
-    let demand = Workload.Incremental.demand incr in
-    t.deltas <- delta :: t.deltas;
-    let total_events = Workload.Incremental.events incr in
-    let working_set =
-      Workload.Incremental.working_set incr ~window:cfg.epoch_intervals
-    in
-    if Workload.Demand.total_reads demand <= 0. then
-      (* Nothing to place or bound yet: a warm-up epoch. *)
-      finish
-        {
-          index;
-          intervals;
-          chunk_events = Workload.Trace.length chunk;
-          total_events;
-          working_set;
-          bounds = [];
-          decisions = [];
-          search_s = 0.;
-          solve_s = 0.;
-        }
-    else begin
-      let spec =
-        Mcperf.Spec.make ~system:cfg.system ~demand ~costs:cfg.costs
-          ~goal:cfg.goal ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let deltas = t.deltas in
-      let searches =
-        if cfg.jobs <= 1 then List.map (search_one cfg deltas) cfg.strategies
-        else
-          Util.Parallel.map_values ~jobs:cfg.jobs
-            ~f:(search_one cfg deltas)
-            cfg.strategies
-      in
-      let t1 = Unix.gettimeofday () in
-      (* Class bounds re-solve in the parent, warm-started from the
-         previous epoch, one per distinct class among the strategies —
-         byte-identical at every [jobs] by construction. *)
-      let classes =
-        List.fold_left
-          (fun acc (_, factory) ->
-            let cls =
-              Heuristics.Strategy.heuristic_class
-                (factory
-                   (Heuristics.Strategy.Context.make ~system:cfg.system
-                      ?placeable:cfg.placeable ~costs:cfg.costs ~goal:cfg.goal
-                      ()))
-            in
-            if List.exists (fun c -> c.Mcperf.Classes.name = cls.Mcperf.Classes.name) acc
-            then acc
-            else acc @ [ cls ])
-          [] cfg.strategies
-      in
-      let bounds =
-        List.map
-          (fun cls ->
-            let r = Bounds.Pipeline.Online.solve t.handle spec cls in
-            Obs.Metrics.incr (Lazy.force m_solves);
-            (cls.Mcperf.Classes.name, r))
-          classes
-      in
-      let t2 = Unix.gettimeofday () in
-      let decisions =
-        List.map
-          (fun d ->
-            let bound =
-              match List.assoc_opt d.class_name bounds with
-              | Some (r : Bounds.Pipeline.t) when r.Bounds.Pipeline.feasible ->
-                Some r.Bounds.Pipeline.lower_bound
-              | Some _ | None -> None
-            in
-            let regret =
-              match (d.cost, bound) with
-              | Some c, Some b ->
-                let r = c -. b in
-                Obs.Metrics.observe (Lazy.force m_regret) r;
-                Some r
-              | _ -> None
-            in
-            { d with bound; regret })
-          searches
-      in
-      finish
-        {
-          index;
-          intervals;
-          chunk_events = Workload.Trace.length chunk;
-          total_events;
-          working_set;
-          bounds;
-          decisions;
-          search_s = t1 -. t0;
-          solve_s = t2 -. t1;
-        }
-    end
 
 (* Slice a replay trace into per-epoch continuation chunks: every event
    is bucketed once with the whole-trace arithmetic, so any epoch size

@@ -17,9 +17,14 @@
       duality), so warm starts change solve time, never validity, and
       regret is nonnegative for every feasible decision.
 
-    Determinism: strategy searches fan out over an order-preserving
-    worker pool and the bound solves run sequentially in the parent, so
-    the epoch reports are byte-identical at every [jobs]. *)
+    Determinism: the strategy searches and then the class bound solves
+    each fan out over an order-preserving worker pool
+    ({!Util.Parallel.map_values}, also at [jobs = 1], whose sequential
+    path opens the same per-task trace scopes). A bound task reads its
+    class's warm point from the handle the worker inherited through
+    [fork] and returns the new point; the parent files the points in
+    class order. So the epoch reports, the warm-start history and the
+    logical trace are byte-identical at every [jobs]. *)
 
 type config = {
   system : Topology.System.t;
@@ -31,7 +36,9 @@ type config = {
   strategies : (string * Heuristics.Strategy.factory) list;
   solver : Bounds.Pipeline.solver;
   warm : bool;  (** warm-start epoch-over-epoch bound re-solves *)
-  jobs : int;  (** worker processes for the per-epoch strategy searches *)
+  jobs : int;
+      (** worker processes for the per-epoch strategy searches and class
+          bound solves *)
 }
 
 val default_strategies : (string * Heuristics.Strategy.factory) list
@@ -81,7 +88,9 @@ val create : config -> t
 val feed : t -> Workload.Trace.t -> epoch
 (** Ingest one continuation chunk and run the epoch. Epochs whose
     cumulative demand still has zero reads are warm-up epochs: reported
-    with no bounds and no decisions. Raises on misaligned chunks (see
+    with no bounds and no decisions. A strategy search or class solve
+    that raises surfaces as {!Util.Parallel.Task_failed}; the epoch's
+    trace span is closed either way. Raises on misaligned chunks (see
     {!Workload.Demand.extend}) and once the cumulative horizon exceeds
     the model's interval limit ({!Mcperf.Spec.make}). *)
 

@@ -180,8 +180,11 @@ echo "dist stage OK: chaos CSVs identical at --jobs 1 and 4, coordinator kill+re
 # Online stage (DESIGN.md §16): the epoch-driven placement service must
 # be a pure function of (trace, epoch size, strategy set) — its stdout
 # carries no wall clocks (timings go to stderr), so runs at --jobs 1
-# and 4 must agree to the byte, every reported regret must be
-# nonnegative (serve itself exits nonzero on a negative one), and the
+# and 4 must agree to the byte. So must their logical traces, as in the
+# obs stage: the searches and the class-bound solves run as pool tasks,
+# whose trace scopes are the same at every --jobs. Every reported
+# regret must be nonnegative (serve itself exits nonzero on a negative
+# one), and the
 # Strategy-interface route must reproduce the pre-redesign heuristic
 # deployments bit for bit on the seed figures.
 echo "== online stage: serve at --jobs 1 and 4, strategy-port equivalence =="
@@ -192,14 +195,16 @@ for j in 1 4; do
   ./_build/default/bin/experiments.exe serve -w web --scale 0.01 \
     --intervals 12 --epoch-intervals 4 \
     --strategies greedy-global,greedy-replica,lru-caching \
-    --jobs "$j" > "$onlinedir/j$j.out" 2> /dev/null
+    --jobs "$j" --trace "$onlinedir/j$j.jsonl" > "$onlinedir/j$j.out" 2> /dev/null
 done
 cmp "$onlinedir/j1.out" "$onlinedir/j4.out" \
   || { echo "online stage: serve output differs across --jobs"; exit 1; }
+cmp "$onlinedir/j1.jsonl" "$onlinedir/j4.jsonl" \
+  || { echo "online stage: serve trace differs between --jobs 1 and 4"; exit 1; }
 grep -q '^served ' "$onlinedir/j1.out" \
   || { echo "online stage: serve did not complete"; exit 1; }
 ./_build/default/bin/experiments.exe validate --family strategy --scale 0.02 \
   > "$onlinedir/strategy.out"
 grep -q 'all strategy-port checks passed' "$onlinedir/strategy.out" \
   || { echo "online stage: ported strategies diverge from the legacy route"; exit 1; }
-echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs identical across --jobs, $(grep -c ' ok ' "$onlinedir/strategy.out") port checks passed"
+echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs and $(wc -l < "$onlinedir/j1.jsonl") trace events identical across --jobs, $(grep -c ' ok ' "$onlinedir/strategy.out") port checks passed"

@@ -43,7 +43,11 @@ let epoch_view (e : E.epoch) =
     e.E.working_set,
     List.map
       (fun (n, (r : Bounds.Pipeline.t)) ->
-        (n, r.Bounds.Pipeline.feasible, r.Bounds.Pipeline.lower_bound))
+        ( n,
+          r.Bounds.Pipeline.feasible,
+          r.Bounds.Pipeline.lower_bound,
+          r.Bounds.Pipeline.lp_iterations,
+          r.Bounds.Pipeline.solve_path ))
       e.E.bounds,
     e.E.decisions )
 
@@ -119,22 +123,33 @@ let test_epoch_size_invariant_final_decisions () =
 
 (* --- jobs byte-identity --------------------------------------------------- *)
 
+(* The default strategy set has four LP classes, so the bound solves
+   really fan out. Iteration counts and solve paths in the view, plus the
+   lift counters, catch a worker that lost or mis-keyed a class's warm
+   entry even when the rounded decisions agree. *)
 let test_jobs_identity () =
   let cs = Lazy.force cs in
-  let strategies =
-    [
-      ("greedy-global", Heuristics.Greedy_global.strategy);
-      ("greedy-replica", Heuristics.Greedy_replica.strategy);
-      ("lru-caching", Heuristics.Cache_strategy.lru);
-    ]
-  in
   let run jobs =
-    let _, epochs =
-      E.run (config ~strategies ~jobs ~epoch_intervals:4 ()) ~trace:cs.CS.trace
+    let t, epochs =
+      E.run
+        (config ~strategies:E.default_strategies ~jobs ~epoch_intervals:4 ())
+        ~trace:cs.CS.trace
     in
-    digest (List.map epoch_view epochs)
+    (digest (List.map epoch_view epochs), E.warm_lifts t, E.bound_solves t)
   in
-  Alcotest.(check string) "jobs 1 = jobs 4" (run 1) (run 4)
+  let d1, lifts1, solves1 = run 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm lifts happen (%d of %d solves)" lifts1 solves1)
+    true (lifts1 >= 1);
+  List.iter
+    (fun jobs ->
+      let d, lifts, solves = run jobs in
+      Alcotest.(check string) (Printf.sprintf "epochs jobs 1 = jobs %d" jobs) d1 d;
+      Alcotest.(check int) (Printf.sprintf "warm lifts jobs 1 = jobs %d" jobs) lifts1 lifts;
+      Alcotest.(check int)
+        (Printf.sprintf "bound solves jobs 1 = jobs %d" jobs)
+        solves1 solves)
+    [ 2; 4 ]
 
 (* --- regret --------------------------------------------------------------- *)
 
@@ -195,6 +210,52 @@ let test_warm_vs_cold_decisions_agree () =
 
 (* --- engine stream edge cases --------------------------------------------- *)
 
+(* A strategy that fails mid-search: the failure propagates out of
+   [feed] and the epoch span still closes, so the trace stays balanced
+   and later spans do not nest under a dead epoch. *)
+let test_failing_search_closes_epoch_span () =
+  let module S = Heuristics.Strategy in
+  let failing ctx =
+    let (S.Instance ((module M), st)) = Heuristics.Greedy_global.strategy ctx in
+    S.Instance
+      ((module struct
+         include M
+
+         let observe _ _ = failwith "observe failed"
+       end),
+        st)
+  in
+  let cs = Lazy.force cs in
+  let t =
+    E.create (config ~strategies:[ ("failing", failing) ] ~epoch_intervals:4 ())
+  in
+  let chunks = E.chunks ~interval_s:(interval_s ()) ~epoch_intervals:4 cs.CS.trace in
+  Obs.Config.install { Obs.Config.default with sink = Obs.Config.Memory };
+  let raised =
+    Fun.protect
+      ~finally:(fun () -> Obs.Config.install Obs.Config.disabled)
+      (fun () ->
+        let raised =
+          List.exists
+            (fun chunk ->
+              match E.feed t chunk with
+              | exception Util.Parallel.Task_failed _ -> true
+              | _ -> false)
+            chunks
+        in
+        let evs = Obs.Trace.events () in
+        let count p = List.length (List.filter p evs) in
+        Alcotest.(check int) "span begins = span ends"
+          (count (fun (e : Obs.Trace.event) -> e.kind = Obs.Trace.Span_begin))
+          (count (fun (e : Obs.Trace.event) -> e.kind = Obs.Trace.Span_end));
+        Alcotest.(check bool) "an epoch span was opened" true
+          (count (fun (e : Obs.Trace.event) ->
+               e.kind = Obs.Trace.Span_begin && e.name = "online.epoch")
+          > 0);
+        raised)
+  in
+  Alcotest.(check bool) "failure propagates out of feed" true raised
+
 let test_feed_rejects_misaligned_chunk () =
   let cs = Lazy.force cs in
   let t = E.create (config ~epoch_intervals:4 ()) in
@@ -232,5 +293,7 @@ let () =
         [
           Alcotest.test_case "misaligned chunk rejected" `Quick
             test_feed_rejects_misaligned_chunk;
+          Alcotest.test_case "failing search closes the epoch span" `Quick
+            test_failing_search_closes_epoch_span;
         ] );
     ]
