@@ -1591,7 +1591,7 @@ let validate_strategy ~seed ~scale () =
 
 (* --- serve: the epoch-driven online placement service --------------------- *)
 
-let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm ~jobs
+let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~jobs
     ~strategies () =
   let system, trace, label =
     match source with
@@ -1638,7 +1638,6 @@ let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm ~jobs
       placeable = None;
       strategies = factories;
       solver = Bounds.Pipeline.Auto;
-      warm;
       jobs;
     }
   in
@@ -1720,11 +1719,9 @@ let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm ~jobs
     incr violations;
     Printf.printf "NEGATIVE REGRET: a deployed cost undercut its class bound\n"
   end;
-  Printf.printf
-    "served %d epochs: %d deployments, %d bound solves (%d warm-lifted)\n%!"
+  Printf.printf "served %d epochs: %d deployments, %d bound solves\n%!"
     (List.length epochs) decided
     (Online.Engine.bound_solves engine)
-    (Online.Engine.warm_lifts engine)
 
 (* --- command line ---------------------------------------------------------- *)
 
@@ -2151,14 +2148,6 @@ let serve_cmd =
       value & opt float 150.
       & info [ "tlat" ] ~docv:"MS" ~doc:"QoS latency threshold, ms.")
   in
-  let no_warm_t =
-    Arg.(
-      value & flag
-      & info [ "no-warm" ]
-          ~doc:
-            "Solve every epoch's class bounds cold instead of warm-starting \
-             from the previous epoch (same bounds, more iterations).")
-  in
   let strategies_t =
     Arg.(
       value
@@ -2169,7 +2158,7 @@ let serve_cmd =
              representative per major class).")
   in
   let run verbose trace_file topo w scale seed intervals epoch_intervals
-      fraction tlat jobs no_warm strategies trace metrics profile =
+      fraction tlat jobs strategies trace metrics profile =
     setup_logs verbose;
     setup_obs ~trace ~metrics ~profile;
     let source =
@@ -2180,7 +2169,7 @@ let serve_cmd =
       | None, None -> `Synthetic (w, scale, seed)
     in
     serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms:tlat
-      ~warm:(not no_warm) ~jobs:(resolve_jobs jobs) ~strategies ();
+      ~jobs:(resolve_jobs jobs) ~strategies ();
     Obs.Sink.flush ();
     if !violations > 0 then exit 1
   in
@@ -2189,12 +2178,12 @@ let serve_cmd =
        ~doc:
          "Run the epoch-driven online placement service: stream a trace in \
           epoch-sized chunks, re-deploy every registered strategy per \
-          epoch, warm-start the class bounds, and report per-epoch regret \
-          (deployed cost minus class bound).")
+          epoch, bound each heuristic class on everything observed so far, \
+          and report per-epoch regret (deployed cost minus class bound).")
     Term.(
       const run $ verbose_t $ trace_file_t $ topo_t $ one_workload_t $ scale_t
       $ seed_t $ intervals_t $ epoch_t $ fraction_t $ tlat_t $ jobs_t
-      $ no_warm_t $ strategies_t $ trace_t $ metrics_t $ profile_t)
+      $ strategies_t $ trace_t $ metrics_t $ profile_t)
 
 let figtree_cmd =
   let run verbose seed csv_dir jobs =

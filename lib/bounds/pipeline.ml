@@ -133,8 +133,7 @@ let farkas_of problem =
    choice is stable across reductions), solve the reduced problem, and map
    the point and the certified bound back through [restore]/[offset].
    [reuse] threads a prepared PDHG image across structurally identical
-   sweep models; [warm_full] lifts a full-space primal point (the online
-   engine's previous epoch) onto the reduced problem.
+   sweep models.
 
    The PDHG leg is a supervised fallback chain. A solve is *healthy* when
    every reported quantity is finite and an independent re-evaluation of
@@ -143,7 +142,7 @@ let farkas_of problem =
    iterate, a cap-hit that produced no usable certificate) triggers a
    clean cold re-solve of the unpoisoned problem, and if that is unhealthy
    too, an exact simplex rescue. The first attempt and the clean retry run
-   from the same prepared structure and the same warm start, so whenever
+   from the same prepared structure and the same cold start, so whenever
    the input itself was sound the retry reproduces the primary attempt's
    iterates exactly and recovery is invisible in the results. *)
 (* A feasible solve's payload: the original-space point, the certified
@@ -198,8 +197,8 @@ let pdhg_healthy prep (out : Lp.Pdhg.outcome) =
   && Float.abs (recheck -. out.Lp.Pdhg.best_bound)
      <= 1e-9 *. (1. +. Float.abs out.Lp.Pdhg.best_bound)
 
-let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
-    ?(inject_nan = false) ?deadline_s problem =
+let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
+    ?deadline_s problem =
   let vars = Lp.Problem.nvars problem and rows = Lp.Problem.nrows problem in
   let pre = Lp.Presolve.run problem in
   match pre.Lp.Presolve.status with
@@ -280,22 +279,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
             }
           | Some _ | None -> options
         in
-        (* A full-space primal warm start (e.g. last epoch's solution
-           lifted onto this epoch's model) projects through the presolve
-           variable map; eliminated variables drop out, new ones start at
-           the box corner like a cold start. The dual starts cold — any
-           dual iterate certifies a valid bound, so warm starts can only
-           change speed, never validity. *)
-        let x0 =
-          match warm_full with
-          | Some xf when Array.length xf = Lp.Problem.nvars problem ->
-            let x0 = Array.make (Lp.Problem.nvars red) 0. in
-            Array.iteri
-              (fun j rj -> if rj >= 0 then x0.(rj) <- xf.(j))
-              pre.Lp.Presolve.var_map;
-            Some x0
-          | Some _ | None -> None
-        in
         let attempt ~poisoned =
           let target =
             if poisoned && Lp.Problem.nrows red > 0 then
@@ -303,7 +286,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
             else red
           in
           let prep = Lp.Pdhg.prepare ?reuse target in
-          (prep, Lp.Pdhg.solve_prepared ~options ?x0 prep)
+          (prep, Lp.Pdhg.solve_prepared ~options prep)
         in
         let accept path prep (out : Lp.Pdhg.outcome) =
           {
@@ -382,8 +365,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
    tagged with the leg that finally produced the bound. The span and
    path counters never touch the numbers — the raw chain above is the
    entire computation. *)
-let solve_relaxation ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
-    problem =
+let solve_relaxation ?solver ?reuse ?inject_nan ?deadline_s problem =
   let sp =
     Obs.Trace.span_begin "pipeline.solve_relaxation"
       ~attrs:
@@ -393,8 +375,7 @@ let solve_relaxation ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
         ]
   in
   match
-    solve_relaxation_raw ?solver ?reuse ?warm_full ?inject_nan
-      ?deadline_s problem
+    solve_relaxation_raw ?solver ?reuse ?inject_nan ?deadline_s problem
   with
   | r ->
     count_path r.path;
@@ -528,16 +509,7 @@ let tree_cell ?placeable spec cls perm worst_qos =
         None
       end)
 
-(* What a successful LP leg leaves behind for the next epoch of an
-   online solve: the model's variable identities and the solution point
-   in the model's own space. Both are plain arrays, so the state is
-   cheap to marshal back from a pool worker. *)
-type warm_state = {
-  w_kinds : Mcperf.Model.var_kind array;
-  w_point : float array;
-}
-
-let compute_with ?(solver = Auto) ?placeable ?lift spec cls =
+let compute ?(solver = Auto) ?placeable spec cls =
   let perm = Mcperf.Permission.compute ?placeable spec cls in
   let worst_qos =
     match spec.Mcperf.Spec.goal with
@@ -550,10 +522,7 @@ let compute_with ?(solver = Auto) ?placeable ?lift spec cls =
        model builder emits the unsatisfiable QoS rows verbatim, so a
        single-row Farkas scan certifies the ceiling independently. *)
     let model = Mcperf.Model.build perm in
-    ( infeasible_result
-        ?ray:(farkas_of model.Mcperf.Model.problem)
-        cls worst_qos,
-      None )
+    infeasible_result ?ray:(farkas_of model.Mcperf.Model.problem) cls worst_qos
   end
   else begin
     let dp =
@@ -562,7 +531,7 @@ let compute_with ?(solver = Auto) ?placeable ?lift spec cls =
       | Exact_simplex | First_order _ -> None
     in
     match dp with
-    | Some cell -> (cell, None)
+    | Some cell -> cell
     | None -> (
       let model = Mcperf.Model.build perm in
       Log.info (fun f ->
@@ -572,100 +541,13 @@ let compute_with ?(solver = Auto) ?placeable ?lift spec cls =
         | Mcperf.Spec.Qos _ -> Rounding.Round.round
         | Mcperf.Spec.Avg_latency _ -> Rounding.Round_avg.round
       in
-      let warm_full = match lift with None -> None | Some f -> f model in
-      let r = solve_relaxation ~solver ?warm_full model.Mcperf.Model.problem in
+      let r = solve_relaxation ~solver model.Mcperf.Model.problem in
       match r.outcome with
       | None ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
-        (infeasible_result ?ray:r.infeasible_ray cls worst_qos, None)
-      | Some sol ->
-        ( finish ~round ~path:r.path model cls worst_qos sol,
-          Some { w_kinds = model.Mcperf.Model.kinds; w_point = sol.point } ))
+        infeasible_result ?ray:r.infeasible_ray cls worst_qos
+      | Some sol -> finish ~round ~path:r.path model cls worst_qos sol)
   end
-
-let compute ?solver ?placeable spec cls =
-  fst (compute_with ?solver ?placeable spec cls)
-
-module Online = struct
-  type handle = {
-    solver : solver;
-    placeable : bool array option;
-    use_warm : bool;
-    entries : (string, warm_state) Hashtbl.t;
-    mutable solves : int;
-    mutable warm_lifts : int;
-  }
-
-  let create ?(solver = Auto) ?placeable ?(warm = true) () =
-    {
-      solver;
-      placeable;
-      use_warm = warm;
-      entries = Hashtbl.create 7;
-      solves = 0;
-      warm_lifts = 0;
-    }
-
-  (* Kind-keyed primal lift: epoch models differ in dimension (more
-     intervals, possibly more objects), so indices do not line up —
-     variable identities do. Every (node, interval, object) variable the
-     previous model also had starts at last epoch's value; variables new
-     to this epoch start cold. *)
-  let lift w (model : Mcperf.Model.t) =
-    let tbl = Hashtbl.create (Array.length w.w_kinds) in
-    Array.iteri (fun j k -> Hashtbl.replace tbl k w.w_point.(j)) w.w_kinds;
-    let matched = ref 0 in
-    let x =
-      Array.map
-        (fun k ->
-          match Hashtbl.find_opt tbl k with
-          | Some v ->
-            incr matched;
-            v
-          | None -> 0.)
-        model.Mcperf.Model.kinds
-    in
-    if !matched = 0 then None else Some x
-
-  (* One class's re-solve as a pool task. It reads the class's warm
-     entry from the handle — a worker sees the parent's handle as of the
-     [fork] — and never mutates the handle: it returns the new warm
-     state and whether the lift applied, for the parent to record. *)
-  let solve_one h spec cls =
-    let prev =
-      if h.use_warm then Hashtbl.find_opt h.entries cls.Mcperf.Classes.name
-      else None
-    in
-    let lifted = ref false in
-    let lift_fn =
-      Option.map
-        (fun w model ->
-          let x = lift w model in
-          lifted := Option.is_some x;
-          x)
-        prev
-    in
-    let cell, warm =
-      compute_with ~solver:h.solver ?placeable:h.placeable ?lift:lift_fn spec
-        cls
-    in
-    (cell, warm, !lifted)
-
-  let solve_all ~jobs h spec classes =
-    let solved =
-      Util.Parallel.map_values ~jobs ~f:(solve_one h spec) classes
-    in
-    List.map2
-      (fun cls (cell, warm, lifted) ->
-        h.solves <- h.solves + 1;
-        if lifted then h.warm_lifts <- h.warm_lifts + 1;
-        Option.iter (Hashtbl.replace h.entries cls.Mcperf.Classes.name) warm;
-        cell)
-      classes solved
-
-  let solves h = h.solves
-  let warm_lifts h = h.warm_lifts
-end
 
 let compare_classes ?solver ?placeable spec classes =
   List.map (fun cls -> compute ?solver ?placeable spec cls) classes

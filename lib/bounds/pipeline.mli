@@ -36,7 +36,7 @@ type solver =
     is discarded and the cell is re-solved cold on a clean rebuild
     ([Path_pdhg_retry]); if that fails too, the exact simplex rescues the
     cell ([Path_simplex_fallback]). Because the retry runs from the same
-    prepared structure and warm start as the primary attempt, a retry
+    prepared structure and cold start as the primary attempt, a retry
     after input poisoning yields exactly the values an unfaulted solve
     produces — only this tag records that recovery happened. *)
 type solve_path =
@@ -139,50 +139,6 @@ val compare_classes :
   Mcperf.Classes.t list ->
   t list
 (** {!compute} for each class, in the given order. *)
-
-(** Warm-started class-bound re-solves for the online engine.
-
-    An epoch loop solves the same (class, goal) bound on a demand that
-    grows by a few intervals each epoch. The models differ in dimension,
-    so prepared images and iterates cannot be reused by index; a handle
-    instead keeps, per class, the last solve's variable identities
-    ({!Mcperf.Model.kinds}) and solution point, and lifts them onto the
-    next epoch's model by matching (node, interval, object) variable
-    kinds — carried-over variables start at their previous values, new
-    ones start cold, and the projection into the presolved space goes
-    through the presolve variable map. The dual always starts cold, and
-    a PDHG bound is certified at {e any} dual iterate, so warm starts
-    affect speed only, never validity. Exact (simplex / tree-DP) legs
-    ignore the warm start and stay bit-identical to {!compute}.
-
-    The classes of one epoch are independent — each reads only its own
-    entry — so {!solve_all} solves them as pool tasks. A worker reads
-    the entry from the handle it inherited through [fork] and ships back
-    the cell plus the new entry (two plain arrays); the parent records
-    the entries and counters in class order, so the handle evolves
-    identically at every [jobs]. *)
-module Online : sig
-  type handle
-
-  val create :
-    ?solver:solver -> ?placeable:bool array -> ?warm:bool -> unit -> handle
-  (** [warm:false] disables state carry-over (every solve is cold —
-      the baseline a warm run is compared against). *)
-
-  val solve_all :
-    jobs:int -> handle -> Mcperf.Spec.t -> Mcperf.Classes.t list -> t list
-  (** {!compute} for each class, in order, with per-class warm
-      continuation across calls, fanned out over up to [jobs] pool
-      workers ({!Util.Parallel.map_values}). Every class starts from the
-      entry its name held before the call. A class solve that raises
-      surfaces as {!Util.Parallel.Task_failed} and leaves the handle
-      untouched. *)
-
-  val solves : handle -> int
-
-  val warm_lifts : handle -> int
-  (** Solves that started from a lifted previous point. *)
-end
 
 val best_class : t list -> t option
 (** The feasible class with the smallest lower bound (the methodology's

@@ -78,37 +78,20 @@ val prepared_problem : prepared -> Problem.t
 (** The Ge-normalized problem underlying the prepared image (the form on
     which {!Certificate.dual_bound} certificates are valid). *)
 
-val solve_prepared :
-  ?options:options ->
-  ?x0:float array ->
-  ?y0:float array ->
-  prepared ->
-  outcome
+val solve_prepared : ?options:options -> prepared -> outcome
 (** Run the solver on a prepared image. The per-iteration work is fused
     into four streams (primal step + extrapolation + averaging; A·x_bar;
     dual step + averaging; Aᵀ·y) instead of one pass per conceptual
     operation. *)
 
-val solve :
-  ?options:options ->
-  ?x0:float array ->
-  ?y0:float array ->
-  Problem.t ->
-  outcome
+val solve : ?options:options -> Problem.t -> outcome
 (** [solve p] normalizes [p] with {!Problem.normalize_ge} and runs PDHG
-    from the lower-bound corner, or from the warm-start iterates [x0]/[y0]
-    when given (box-projected; a QoS sweep over similar models converges
-    much faster from the previous point). Every variable must have finite
+    from the lower-bound corner with a zero dual. Every variable must have finite
     lower and upper bounds (the MC-PERF builder guarantees this);
     otherwise [Invalid_argument] is raised. Equivalent to
     [solve_prepared (prepare p)]. *)
 
-val solve_reference :
-  ?options:options ->
-  ?x0:float array ->
-  ?y0:float array ->
-  Problem.t ->
-  outcome
+val solve_reference : ?options:options -> Problem.t -> outcome
 (** The pre-fusion iteration — one pass per conceptual step — kept as the
     oracle for the differential tests. Produces the same iterates as
     {!solve} (bit-identical on finite data); it is only slower. *)

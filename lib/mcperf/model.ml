@@ -189,7 +189,7 @@ let build (perm : Permission.t) =
     (* Constraint (2), one row per user/node. Rows are emitted whenever
        the node has coverage options, even when trivially satisfied, so
        the model's shape is identical across QoS sweeps (enabling PDHG
-       warm starts). *)
+       prepared-image reuse). *)
     let row_of = Array.make nodes (-1) in
     let has_terms = Array.make nodes false in
     for n = 0 to nodes - 1 do

@@ -29,17 +29,25 @@ let make ~system ~demand ?(costs = default_costs) ~goal () =
   if demand.Workload.Demand.intervals > max_intervals then
     invalid_arg "Spec.make: at most 62 evaluation intervals are supported";
   let { alpha; beta; gamma; delta; zeta } = costs in
-  if alpha < 0. || beta < 0. || gamma < 0. || delta < 0. || zeta < 0. then
-    invalid_arg "Spec.make: costs must be non-negative";
+  if
+    not
+      (List.for_all
+         (fun c -> Float.is_finite c && c >= 0.)
+         [ alpha; beta; gamma; delta; zeta ])
+  then invalid_arg "Spec.make: costs must be finite and non-negative";
   if alpha = 0. && beta = 0. then
     invalid_arg "Spec.make: at least one of alpha, beta must be positive";
+  (* Range checks are written as [not (x >= lo)] so that NaN, for which
+     every comparison is false, fails them too. *)
   (match goal with
   | Qos { tlat_ms; fraction } ->
-    if tlat_ms < 0. then invalid_arg "Spec.make: negative latency threshold";
-    if fraction < 0. || fraction > 1. then
+    if not (tlat_ms >= 0.) then
+      invalid_arg "Spec.make: negative latency threshold";
+    if not (fraction >= 0. && fraction <= 1.) then
       invalid_arg "Spec.make: QoS fraction must be in [0, 1]"
   | Avg_latency { tavg_ms } ->
-    if tavg_ms < 0. then invalid_arg "Spec.make: negative average-latency goal");
+    if not (tavg_ms >= 0.) then
+      invalid_arg "Spec.make: negative average-latency goal");
   { system; demand; costs; goal }
 
 let latency_threshold t =

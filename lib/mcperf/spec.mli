@@ -39,9 +39,9 @@ val make :
   unit ->
   t
 (** Validates: node counts agree, demand has at least one read, costs are
-    non-negative with [alpha > 0. || beta > 0.], goal parameters are in
-    range, and the interval count fits the bitset-based permission
-    machinery (at most 62 intervals). *)
+    finite and non-negative with [alpha > 0. || beta > 0.], goal
+    parameters are in range (NaN never is), and the interval count fits
+    the bitset-based permission machinery (at most 62 intervals). *)
 
 val latency_threshold : t -> float
 (** The [tlat_ms] of a QoS goal; for an average-latency goal, the [tavg_ms]

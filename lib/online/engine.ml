@@ -7,7 +7,6 @@ type config = {
   placeable : bool array option;
   strategies : (string * Heuristics.Strategy.factory) list;
   solver : Bounds.Pipeline.solver;
-  warm : bool;
   jobs : int;
 }
 
@@ -24,7 +23,7 @@ let default ?placeable ?(costs = Mcperf.Spec.default_costs) ~system ~interval_s
     ~epoch_intervals ~goal () =
   if epoch_intervals <= 0 then
     invalid_arg "Engine.default: epoch_intervals must be positive";
-  if interval_s <= 0. then
+  if not (Float.is_finite interval_s && interval_s > 0.) then
     invalid_arg "Engine.default: interval_s must be positive";
   {
     system;
@@ -35,7 +34,6 @@ let default ?placeable ?(costs = Mcperf.Spec.default_costs) ~system ~interval_s
     placeable;
     strategies = default_strategies;
     solver = Bounds.Pipeline.Auto;
-    warm = true;
     jobs = 1;
   }
 
@@ -63,7 +61,6 @@ type epoch = {
 
 type t = {
   config : config;
-  handle : Bounds.Pipeline.Online.handle;
   mutable incr : Workload.Incremental.t;
   mutable trace : Workload.Trace.t option;
   mutable deltas : Heuristics.Strategy.delta list;  (** newest first *)
@@ -73,14 +70,13 @@ type t = {
 let create config =
   if config.epoch_intervals <= 0 then
     invalid_arg "Engine.create: epoch_intervals must be positive";
+  if not (Float.is_finite config.interval_s && config.interval_s > 0.) then
+    invalid_arg "Engine.create: interval_s must be positive";
   if config.jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   if config.strategies = [] then
     invalid_arg "Engine.create: need at least one strategy";
   {
     config;
-    handle =
-      Bounds.Pipeline.Online.create ~solver:config.solver
-        ?placeable:config.placeable ~warm:config.warm ();
     incr =
       Workload.Incremental.create
         ~nodes:(Topology.System.node_count config.system)
@@ -91,8 +87,10 @@ let create config =
   }
 
 let epochs t = List.rev t.epochs
-let warm_lifts t = Bounds.Pipeline.Online.warm_lifts t.handle
-let bound_solves t = Bounds.Pipeline.Online.solves t.handle
+let warm_lifts _ = 0
+
+let bound_solves t =
+  List.fold_left (fun n e -> n + List.length e.bounds) 0 t.epochs
 
 let m_epochs = lazy (Obs.Metrics.counter "online.epochs")
 let m_decisions = lazy (Obs.Metrics.counter "online.decisions")
@@ -217,13 +215,17 @@ let run_epoch t ~index chunk =
         cfg.strategies
     in
     let t1 = Unix.gettimeofday () in
-    (* One warm-started class bound per distinct class, solved in the
-       pool; the handle advances in class order in the parent. *)
+    (* One class bound per distinct class on the cumulative demand,
+       solved in the pool: a pure function of (class, goal, workload),
+       so it does not depend on how the trace was cut into epochs. *)
     let classes = classes cfg in
     let bounds =
       List.combine
         (List.map (fun c -> c.Mcperf.Classes.name) classes)
-        (Bounds.Pipeline.Online.solve_all ~jobs:cfg.jobs t.handle spec
+        (Util.Parallel.map_values ~jobs:cfg.jobs
+           ~f:
+             (Bounds.Pipeline.compute ~solver:cfg.solver
+                ?placeable:cfg.placeable spec)
            classes)
     in
     Obs.Metrics.incr ~by:(List.length bounds) (Lazy.force m_solves);

@@ -9,22 +9,20 @@
       minimal goal-meeting deployment over everything observed so far
       (the same minimal-parameter search {!Sim.Runner.deploy} runs
       offline);
-    + re-solves one class lower bound per distinct heuristic class
-      through a persistent {!Bounds.Pipeline.Online.handle}, warm-started
-      from the previous epoch's solution;
+    + solves one class lower bound per distinct heuristic class with
+      {!Bounds.Pipeline.compute} on the cumulative demand — the same
+      bound the offline methodology reports for (class, goal, workload),
+      whatever epochs the trace arrived in;
     + reports decisions with per-epoch regret — deployed cost minus the
-      class bound. PDHG dual bounds are valid at any iterate (weak
-      duality), so warm starts change solve time, never validity, and
-      regret is nonnegative for every feasible decision.
+      class bound. The bound is certified (weak duality), so regret is
+      nonnegative for every feasible decision.
 
     Determinism: the strategy searches and then the class bound solves
     each fan out over an order-preserving worker pool
     ({!Util.Parallel.map_values}, also at [jobs = 1], whose sequential
-    path opens the same per-task trace scopes). A bound task reads its
-    class's warm point from the handle the worker inherited through
-    [fork] and returns the new point; the parent files the points in
-    class order. So the epoch reports, the warm-start history and the
-    logical trace are byte-identical at every [jobs]. *)
+    path opens the same per-task trace scopes), and every task is a pure
+    function of its inputs. So the epoch reports and the logical trace
+    are byte-identical at every [jobs]. *)
 
 type config = {
   system : Topology.System.t;
@@ -35,7 +33,6 @@ type config = {
   placeable : bool array option;  (** deployment restriction, or all nodes *)
   strategies : (string * Heuristics.Strategy.factory) list;
   solver : Bounds.Pipeline.solver;
-  warm : bool;  (** warm-start epoch-over-epoch bound re-solves *)
   jobs : int;
       (** worker processes for the per-epoch strategy searches and class
           bound solves *)
@@ -54,8 +51,9 @@ val default :
   goal:Mcperf.Spec.goal ->
   unit ->
   config
-(** Config with {!default_strategies}, [Auto] solver, warm starts on,
-    [jobs = 1]. *)
+(** Config with {!default_strategies}, [Auto] solver, [jobs = 1]. Raises
+    [Invalid_argument] unless [epoch_intervals > 0] and [interval_s] is
+    finite and positive. *)
 
 type decision = {
   strategy : string;
@@ -80,10 +78,12 @@ type epoch = {
 }
 
 type t
-(** A running engine: cumulative workload state plus the warm bound
-    handle. *)
+(** A running engine: cumulative workload state and the epochs so far. *)
 
 val create : config -> t
+(** Raises [Invalid_argument] on the same [epoch_intervals] and
+    [interval_s] values {!default} rejects, on [jobs < 1] and on an empty
+    strategy list. *)
 
 val feed : t -> Workload.Trace.t -> epoch
 (** Ingest one continuation chunk and run the epoch. Epochs whose
@@ -98,9 +98,12 @@ val epochs : t -> epoch list
 (** All epochs so far, oldest first. *)
 
 val warm_lifts : t -> int
-(** Bound re-solves that were primed from a previous epoch's solution. *)
+(** Always 0: every epoch solves its class bounds from scratch. Kept only
+    because the benchmark's [serve-web] workload still reads it; delete
+    it with the next benchmark change (ROADMAP item 7). *)
 
 val bound_solves : t -> int
+(** Class bounds solved so far, summed over {!epochs}. *)
 
 val chunks :
   interval_s:float ->

@@ -203,8 +203,25 @@ cmp "$onlinedir/j1.jsonl" "$onlinedir/j4.jsonl" \
   || { echo "online stage: serve trace differs between --jobs 1 and 4"; exit 1; }
 grep -q '^served ' "$onlinedir/j1.out" \
   || { echo "online stage: serve did not complete"; exit 1; }
+# A class bound is a function of (class, goal, workload) alone: the same
+# trace served as one epoch must end with the same bounds and decisions
+# as the final epoch of the 4-interval run. The epoch header is left out
+# because its working set is windowed by the epoch size.
+./_build/default/bin/experiments.exe serve -w web --scale 0.01 \
+  --intervals 12 --epoch-intervals 12 \
+  --strategies greedy-global,greedy-replica,lru-caching \
+  --jobs 4 > "$onlinedir/k12.out" 2> /dev/null
+last_epoch_block() {
+  awk '/^epoch /{b=""; next} /^  /{b=b $0 "\n"} END{printf "%s", b}' "$1"
+}
+last_epoch_block "$onlinedir/j1.out" > "$onlinedir/k4.last"
+last_epoch_block "$onlinedir/k12.out" > "$onlinedir/k12.last"
+test -s "$onlinedir/k12.last" \
+  || { echo "online stage: one-epoch serve reported no bounds"; exit 1; }
+cmp "$onlinedir/k4.last" "$onlinedir/k12.last" \
+  || { echo "online stage: final bounds depend on the epoch size"; exit 1; }
 ./_build/default/bin/experiments.exe validate --family strategy --scale 0.02 \
   > "$onlinedir/strategy.out"
 grep -q 'all strategy-port checks passed' "$onlinedir/strategy.out" \
   || { echo "online stage: ported strategies diverge from the legacy route"; exit 1; }
-echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs and $(wc -l < "$onlinedir/j1.jsonl") trace events identical across --jobs, $(grep -c ' ok ' "$onlinedir/strategy.out") port checks passed"
+echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs and $(wc -l < "$onlinedir/j1.jsonl") trace events identical across --jobs, final epoch equal to a one-epoch run, $(grep -c ' ok ' "$onlinedir/strategy.out") port checks passed"

@@ -38,11 +38,30 @@ let test_spec_validation () =
         (Mcperf.Spec.make ~system:(line_system ()) ~demand:d
            ~goal:(Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 1. })
            ()));
-  Alcotest.check_raises "bad fraction"
-    (Invalid_argument "Spec.make: QoS fraction must be in [0, 1]") (fun () ->
+  List.iter
+    (fun fraction ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad fraction %g" fraction)
+        (Invalid_argument "Spec.make: QoS fraction must be in [0, 1]")
+        (fun () ->
+          ignore
+            (Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ())
+               ~goal:(Mcperf.Spec.Qos { tlat_ms = 1.; fraction })
+               ())))
+    [ 1.5; Float.nan ];
+  Alcotest.check_raises "NaN latency threshold"
+    (Invalid_argument "Spec.make: negative latency threshold") (fun () ->
       ignore
         (Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ())
-           ~goal:(Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 1.5 })
+           ~goal:(Mcperf.Spec.Qos { tlat_ms = Float.nan; fraction = 0.9 })
+           ()));
+  Alcotest.check_raises "NaN cost"
+    (Invalid_argument "Spec.make: costs must be finite and non-negative")
+    (fun () ->
+      ignore
+        (Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ())
+           ~costs:{ Mcperf.Spec.default_costs with beta = Float.nan }
+           ~goal:(Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 1. })
            ()))
 
 (* --- permission masks --------------------------------------------------- *)

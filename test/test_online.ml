@@ -29,7 +29,6 @@ let config ?(strategies = [ ("greedy-global", Heuristics.Greedy_global.strategy)
     placeable = None;
     strategies;
     solver = Bounds.Pipeline.Auto;
-    warm = true;
     jobs;
   }
 
@@ -89,7 +88,8 @@ let test_chunking_reproduces_demand () =
     [ 1; 2; 3; 4; 5; 6; 12 ]
 
 (* The final epoch sees the whole trace, so its deployments must equal
-   the offline ones — and must not depend on the epoch size. *)
+   the offline ones and its class bounds must equal the offline bound bit
+   for bit — neither may depend on the epoch size. *)
 let test_epoch_size_invariant_final_decisions () =
   let cs = Lazy.force cs in
   let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:false () in
@@ -97,6 +97,25 @@ let test_epoch_size_invariant_final_decisions () =
     match Sim.Runner.greedy_global ~spec () with
     | Some d -> (d.Sim.Runner.parameter, d.Sim.Runner.cost)
     | None -> Alcotest.fail "offline greedy-global infeasible"
+  in
+  let cfg = config ~epoch_intervals:1 () in
+  let whole =
+    Mcperf.Spec.make ~system:cfg.E.system
+      ~demand:(Workload.Demand.of_trace ~intervals cs.CS.trace)
+      ~costs:cfg.E.costs ~goal:cfg.E.goal ()
+  in
+  (* Resolve each strategy's class the way the engine does. *)
+  let ctx =
+    Heuristics.Strategy.Context.make ~system:cfg.E.system ~costs:cfg.E.costs
+      ~goal:cfg.E.goal ()
+  in
+  let offline_bounds =
+    List.map
+      (fun (_, f) ->
+        let cls = Heuristics.Strategy.heuristic_class (f ctx) in
+        ( cls.Mcperf.Classes.name,
+          Bounds.Pipeline.compute ~solver:cfg.E.solver whole cls ))
+      cfg.E.strategies
   in
   let finals =
     List.map
@@ -106,6 +125,21 @@ let test_epoch_size_invariant_final_decisions () =
         Alcotest.(check int)
           (Printf.sprintf "final intervals k=%d" k)
           intervals last.E.intervals;
+        Alcotest.(check bool) (Printf.sprintf "final bounds k=%d" k) true
+          (last.E.bounds <> []);
+        List.iter
+          (fun (name, (r : Bounds.Pipeline.t)) ->
+            let o = List.assoc name offline_bounds in
+            let label what = Printf.sprintf "%s %s k=%d" name what k in
+            Alcotest.(check int64) (label "lower_bound bits")
+              (Int64.bits_of_float o.Bounds.Pipeline.lower_bound)
+              (Int64.bits_of_float r.Bounds.Pipeline.lower_bound);
+            Alcotest.(check int) (label "lp_iterations")
+              o.Bounds.Pipeline.lp_iterations r.Bounds.Pipeline.lp_iterations;
+            Alcotest.(check string) (label "solve_path")
+              (Bounds.Pipeline.path_label o.Bounds.Pipeline.solve_path)
+              (Bounds.Pipeline.path_label r.Bounds.Pipeline.solve_path))
+          last.E.bounds;
         match last.E.decisions with
         | [ d ] ->
           ( (match d.E.parameter with
@@ -124,9 +158,9 @@ let test_epoch_size_invariant_final_decisions () =
 (* --- jobs byte-identity --------------------------------------------------- *)
 
 (* The default strategy set has four LP classes, so the bound solves
-   really fan out. Iteration counts and solve paths in the view, plus the
-   lift counters, catch a worker that lost or mis-keyed a class's warm
-   entry even when the rounded decisions agree. *)
+   really fan out. Iteration counts and solve paths in the view catch a
+   worker that solved the wrong class even when the rounded decisions
+   agree. *)
 let test_jobs_identity () =
   let cs = Lazy.force cs in
   let run jobs =
@@ -135,17 +169,13 @@ let test_jobs_identity () =
         (config ~strategies:E.default_strategies ~jobs ~epoch_intervals:4 ())
         ~trace:cs.CS.trace
     in
-    (digest (List.map epoch_view epochs), E.warm_lifts t, E.bound_solves t)
+    (digest (List.map epoch_view epochs), E.bound_solves t)
   in
-  let d1, lifts1, solves1 = run 1 in
-  Alcotest.(check bool)
-    (Printf.sprintf "warm lifts happen (%d of %d solves)" lifts1 solves1)
-    true (lifts1 >= 1);
+  let d1, solves1 = run 1 in
   List.iter
     (fun jobs ->
-      let d, lifts, solves = run jobs in
+      let d, solves = run jobs in
       Alcotest.(check string) (Printf.sprintf "epochs jobs 1 = jobs %d" jobs) d1 d;
-      Alcotest.(check int) (Printf.sprintf "warm lifts jobs 1 = jobs %d" jobs) lifts1 lifts;
       Alcotest.(check int)
         (Printf.sprintf "bound solves jobs 1 = jobs %d" jobs)
         solves1 solves)
@@ -182,31 +212,6 @@ let test_regret_nonnegative () =
     epochs;
   Alcotest.(check bool) "some regrets reported" true (!seen > 0);
   Alcotest.(check bool) "bounds were solved" true (E.bound_solves t > 0)
-
-(* Warm starts change solve effort, never the reported bound's validity:
-   a warm run reports the same deployments as a cold run. Only the warm
-   engine lifts last epoch's solution into the next solve. *)
-let test_warm_vs_cold_decisions_agree () =
-  let cs = Lazy.force cs in
-  let run warm =
-    let t, epochs =
-      E.run { (config ~epoch_intervals:6 ()) with E.warm } ~trace:cs.CS.trace
-    in
-    ( E.warm_lifts t,
-      List.map
-        (fun (e : E.epoch) ->
-          List.map
-            (fun (d : E.decision) -> (d.E.strategy, d.E.parameter, d.E.cost))
-            e.E.decisions)
-        epochs )
-  in
-  let warm_lifts, warm = run true and cold_lifts, cold = run false in
-  Alcotest.(check bool) "same deployments" true (warm = cold);
-  (* The lift counter is what tells a warm run from a cold one. *)
-  Alcotest.(check int) "cold engine never lifts" 0 cold_lifts;
-  Alcotest.(check bool)
-    (Printf.sprintf "warm engine lifts a prior solution (%d lifts)" warm_lifts)
-    true (warm_lifts >= 1)
 
 (* --- engine stream edge cases --------------------------------------------- *)
 
@@ -267,6 +272,18 @@ let test_feed_rejects_misaligned_chunk () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* [config] is a public record, so [create] checks the interval width
+   itself rather than trusting that it came from [default]. *)
+let test_create_rejects_bad_interval () =
+  List.iter
+    (fun interval_s ->
+      Alcotest.check_raises
+        (Printf.sprintf "interval_s = %g" interval_s)
+        (Invalid_argument "Engine.create: interval_s must be positive")
+        (fun () ->
+          ignore (E.create { (config ~epoch_intervals:4 ()) with E.interval_s })))
+    [ 0.; Float.nan; Float.infinity ]
+
 let () =
   Alcotest.run "online"
     [
@@ -281,8 +298,6 @@ let () =
         [
           Alcotest.test_case "jobs 1 vs 4 byte-identical" `Quick
             test_jobs_identity;
-          Alcotest.test_case "warm vs cold deployments agree" `Quick
-            test_warm_vs_cold_decisions_agree;
         ] );
       ( "regret",
         [
@@ -293,6 +308,8 @@ let () =
         [
           Alcotest.test_case "misaligned chunk rejected" `Quick
             test_feed_rejects_misaligned_chunk;
+          Alcotest.test_case "non-positive interval rejected" `Quick
+            test_create_rejects_bad_interval;
           Alcotest.test_case "failing search closes the epoch span" `Quick
             test_failing_search_closes_epoch_span;
         ] );
