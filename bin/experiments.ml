@@ -1187,10 +1187,10 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
 (* --- scale figure: Lagrangian sweep on the CDN scale family --------------- *)
 
 (* Fig2-style sweep at 200+ nodes and 10k objects, far past where the
-   monolithic LP is tractable, via the bundled + sharded Lagrangian
-   decomposition. Everything printed on stdout is deterministic in the
-   inputs (timings go to stderr), so check.sh can [cmp] runs at
-   different --jobs byte for byte. *)
+   monolithic LP is tractable, via the bundled Lagrangian decomposition,
+   one pool task per QoS point. Everything printed on stdout is
+   deterministic in the inputs (timings go to stderr), so check.sh can
+   [cmp] runs at different --jobs byte for byte. *)
 let figscale ~seed ~objects ~jobs ~check () =
   let fail fmt =
     incr violations;
@@ -1778,6 +1778,26 @@ let faults_conv =
   let print ppf spec = Format.pp_print_string ppf (Util.Faults.to_string spec) in
   Arg.conv (parse, print)
 
+(* Value checks for options the library would otherwise reject with
+   [Invalid_argument] mid-run: a bad value is a usage error up front. *)
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let fraction_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some q when Float.is_finite q && q >= 0. && q <= 1. -> Ok q
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a fraction in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let inject_t =
   Arg.(
     value
@@ -2128,20 +2148,21 @@ let serve_cmd =
   in
   let intervals_t =
     Arg.(
-      value & opt int 24
+      value & opt positive_int_conv 24
       & info [ "intervals" ] ~docv:"N"
           ~doc:"Evaluation intervals covering the whole trace horizon.")
   in
   let epoch_t =
     Arg.(
-      value & opt int 6
+      value & opt positive_int_conv 6
       & info [ "epoch-intervals" ] ~docv:"K"
           ~doc:"Intervals ingested per re-placement epoch.")
   in
   let fraction_t =
     Arg.(
-      value & opt float 0.95
-      & info [ "fraction" ] ~docv:"Q" ~doc:"QoS fraction of the goal.")
+      value & opt fraction_conv 0.95
+      & info [ "fraction" ] ~docv:"Q"
+          ~doc:"QoS fraction of the goal, in [0, 1].")
   in
   let tlat_t =
     Arg.(
@@ -2261,7 +2282,8 @@ let figscale_cmd =
     (Cmd.info "figscale"
        ~doc:
          "Fig2-style QoS sweep on the 200+-node / 10k-object CDN scale \
-          family via the bundled, sharded Lagrangian decomposition. \
+          family via the bundled Lagrangian decomposition, with one \
+          $(b,--jobs) worker task per QoS point. \
           Deterministic stdout (timings on stderr), so output can be \
           compared byte-for-byte across $(b,--jobs).")
     Term.(const run $ verbose_t $ seed_t $ objects_t $ jobs_t $ check_t)

@@ -31,11 +31,12 @@
     bundled bound equals the unbundled one exactly, and heterogeneous
     members transfer the representative's optimum rescaled by
     [w / w_rep] with a conservative downward nudge (counted in
-    [rescaled_members]) that keeps the bound valid. {e Sharding}: each
-    iteration's representative solves dispatch through {!Util.Parallel}
-    in contiguous shards; only shard ranges and result payloads cross the
-    worker pipes, the merge is in fixed object order, and the outcome is
-    byte-identical at every [jobs].
+    [rescaled_members]) that keeps the bound valid. {e Per-fraction
+    dispatch}: {!sweep} builds the bundling and the subproblems once in
+    the parent, then runs each fraction's ascent as one {!Util.Parallel}
+    task; inside an ascent the representative solves run in order in one
+    process. Only fractions and outcomes cross the worker pipes, and the
+    outcome is byte-identical at every [jobs].
 
     Class support: knowledge/history/reactivity/routing properties are
     honored exactly (they live in the per-object permission masks); the
@@ -85,11 +86,12 @@ val bound :
   outcome
 (** Projected subgradient ascent on the QoS multipliers ([iterations]
     default 60, [step_scale] default 1.0, [step_rule] default
-    {!Harmonic} — the historical schedule, [jobs] default 1, [bundling]
-    default on). Requires a QoS goal. Infeasible classes (by the
-    {!Mcperf.Permission} oracle) yield [infinity]. The result is
-    independent of [jobs] to the byte, and independent of [bundling]
-    whenever [rescaled_members = 0]. *)
+    {!Harmonic} — the historical schedule, [bundling] default on): {!sweep}
+    at the spec's one fraction. Requires a QoS goal. Infeasible classes
+    (by the {!Mcperf.Permission} oracle) yield [infinity]. [jobs] is
+    accepted for symmetry with {!sweep}, but one fraction is one task,
+    which always runs in-process. The result is independent of
+    [bundling] whenever [rescaled_members = 0]. *)
 
 val sweep :
   ?iterations:int ->
@@ -105,4 +107,7 @@ val sweep :
     the permission analysis, the bundling, and every representative
     subproblem across the whole sweep (the masks never read the
     fraction); multipliers restart cold at each point, so each outcome
-    equals the standalone {!bound} at that fraction. *)
+    equals the standalone {!bound} at that fraction. The fractions run
+    as one {!Util.Parallel.map_values} over [jobs] workers ([jobs]
+    default 1), one task per fraction; the result is independent of
+    [jobs] to the byte. *)

@@ -128,12 +128,10 @@ let farkas_of problem =
 
 (* --- shared LP-relaxation solve ----------------------------------------- *)
 
-(* One solve of a model's LP relaxation, used by [compute] and both sweep
-   drivers: presolve, pick the solver on the *original* dimensions (so the
-   choice is stable across reductions), solve the reduced problem, and map
-   the point and the certified bound back through [restore]/[offset].
-   [reuse] threads a prepared PDHG image across structurally identical
-   sweep models.
+(* One solve of a model's LP relaxation, the LP leg of every bound cell:
+   presolve, pick the solver on the *original* dimensions (so the choice
+   is stable across reductions), solve the reduced problem, and map the
+   point and the certified bound back through [restore]/[offset].
 
    The PDHG leg is a supervised fallback chain. A solve is *healthy* when
    every reported quantity is finite and an independent re-evaluation of
@@ -162,7 +160,6 @@ type solution = {
 
 type relaxation = {
   outcome : solution option;  (* [None] when the LP is infeasible *)
-  prep : Lp.Pdhg.prepared option;  (* for the next cell's [reuse] *)
   path : solve_path;
   infeasible_ray : float array option;
       (* verified Farkas ray on the normalized full problem when the LP
@@ -170,12 +167,7 @@ type relaxation = {
 }
 
 let no_solution ?ray () =
-  {
-    outcome = None;
-    prep = None;
-    path = Path_infeasible;
-    infeasible_ray = ray;
-  }
+  { outcome = None; path = Path_infeasible; infeasible_ray = ray }
 
 (* Independent health check of a PDHG outcome: all reported scalars and
    the primal point finite, and the certified bound reproducible from the
@@ -197,8 +189,7 @@ let pdhg_healthy prep (out : Lp.Pdhg.outcome) =
   && Float.abs (recheck -. out.Lp.Pdhg.best_bound)
      <= 1e-9 *. (1. +. Float.abs out.Lp.Pdhg.best_bound)
 
-let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
-    ?deadline_s problem =
+let solve_relaxation_raw ~solver ~inject_nan problem =
   let vars = Lp.Problem.nvars problem and rows = Lp.Problem.nrows problem in
   let pre = Lp.Presolve.run problem in
   match pre.Lp.Presolve.status with
@@ -222,7 +213,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
               sol_rel_gap = 0.;
               dual = Some (Array.make (Lp.Problem.nrows red) 0.);
             };
-        prep = None;
         path = Path_presolve;
         infeasible_ray = None;
       }
@@ -249,7 +239,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
         | Lp.Simplex.Cert_optimal { x; objective; dual } ->
           {
             outcome = Some (simplex_solution x objective dual);
-            prep = None;
             path = Path_simplex;
             infeasible_ray = None;
           }
@@ -266,18 +255,21 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
           | First_order o -> o
           | Auto | Exact_simplex -> default_pdhg_options
         in
-        (* The sweep governor's per-cell budget caps the solver deadline;
-           an already-exhausted budget still runs the checkpointed first
-           block, so every cell returns some valid bound. *)
+        (* The sweep governor's per-cell budget, installed by the pool at
+           dispatch, caps the solver deadline; an already-exhausted budget
+           still runs the checkpointed first block, so every cell returns
+           some valid bound. Outside a budgeted pool task the deadline is
+           [infinity] and no clock is read. *)
         let options =
-          match deadline_s with
-          | Some d when Float.is_finite d ->
+          let d = Util.Parallel.task_deadline () in
+          if Float.is_finite d then
             {
               options with
               Lp.Pdhg.deadline_s =
-                Float.min options.Lp.Pdhg.deadline_s (Float.max 0. d);
+                Float.min options.Lp.Pdhg.deadline_s
+                  (Float.max 0. (d -. Unix.gettimeofday ()));
             }
-          | Some _ | None -> options
+          else options
         in
         let attempt ~poisoned =
           let target =
@@ -285,10 +277,10 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
               Lp.Problem.with_rhs red [ (0, Float.nan) ]
             else red
           in
-          let prep = Lp.Pdhg.prepare ?reuse target in
+          let prep = Lp.Pdhg.prepare target in
           (prep, Lp.Pdhg.solve_prepared ~options prep)
         in
-        let accept path prep (out : Lp.Pdhg.outcome) =
+        let accept path (out : Lp.Pdhg.outcome) =
           {
             outcome =
               Some
@@ -305,13 +297,12 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
                   sol_rel_gap = out.Lp.Pdhg.rel_gap;
                   dual = Some out.Lp.Pdhg.best_y;
                 };
-            prep = Some prep;
             path;
             infeasible_ray = None;
           }
         in
         let prep1, out1 = attempt ~poisoned:inject_nan in
-        if pdhg_healthy prep1 out1 then accept Path_pdhg prep1 out1
+        if pdhg_healthy prep1 out1 then accept Path_pdhg out1
         else begin
           Log.warn (fun f ->
               f
@@ -330,7 +321,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
                   ("iters", Obs.Trace.Int out1.Lp.Pdhg.iterations);
                 ];
           let prep2, out2 = attempt ~poisoned:false in
-          if pdhg_healthy prep2 out2 then accept Path_pdhg_retry prep2 out2
+          if pdhg_healthy prep2 out2 then accept Path_pdhg_retry out2
           else begin
             Log.warn (fun f ->
                 f "pdhg retry unhealthy: rescuing with exact simplex");
@@ -348,7 +339,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
             | Lp.Simplex.Cert_optimal { x; objective; dual } ->
               {
                 outcome = Some (simplex_solution x objective dual);
-                prep = Some prep2;
                 path = Path_simplex_fallback;
                 infeasible_ray = None;
               }
@@ -365,7 +355,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?(inject_nan = false)
    tagged with the leg that finally produced the bound. The span and
    path counters never touch the numbers — the raw chain above is the
    entire computation. *)
-let solve_relaxation ?solver ?reuse ?inject_nan ?deadline_s problem =
+let solve_relaxation ~solver ~inject_nan problem =
   let sp =
     Obs.Trace.span_begin "pipeline.solve_relaxation"
       ~attrs:
@@ -374,9 +364,7 @@ let solve_relaxation ?solver ?reuse ?inject_nan ?deadline_s problem =
           ("rows", Obs.Trace.Int (Lp.Problem.nrows problem));
         ]
   in
-  match
-    solve_relaxation_raw ?solver ?reuse ?inject_nan ?deadline_s problem
-  with
+  match solve_relaxation_raw ~solver ~inject_nan problem with
   | r ->
     count_path r.path;
     Obs.Trace.span_end sp
@@ -509,7 +497,10 @@ let tree_cell ?placeable spec cls perm worst_qos =
         None
       end)
 
-let compute ?(solver = Auto) ?placeable spec cls =
+(* One bound cell: the oracle, the tree DP, then the LP chain. [compute]
+   and every [sweep_classes] cell run this same function; [inject_nan]
+   (sweep fault injection) poisons the first PDHG attempt. *)
+let cell ~inject_nan ?(solver = Auto) ?placeable spec cls =
   let perm = Mcperf.Permission.compute ?placeable spec cls in
   let worst_qos =
     match spec.Mcperf.Spec.goal with
@@ -541,13 +532,16 @@ let compute ?(solver = Auto) ?placeable spec cls =
         | Mcperf.Spec.Qos _ -> Rounding.Round.round
         | Mcperf.Spec.Avg_latency _ -> Rounding.Round_avg.round
       in
-      let r = solve_relaxation ~solver model.Mcperf.Model.problem in
+      let r = solve_relaxation ~solver ~inject_nan model.Mcperf.Model.problem in
       match r.outcome with
       | None ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
         infeasible_result ?ray:r.infeasible_ray cls worst_qos
       | Some sol -> finish ~round ~path:r.path model cls worst_qos sol)
   end
+
+let compute ?solver ?placeable spec cls =
+  cell ~inject_nan:false ?solver ?placeable spec cls
 
 let compare_classes ?solver ?placeable spec classes =
   List.map (fun cls -> compute ?solver ?placeable spec cls) classes
@@ -918,25 +912,28 @@ let write_journal ~fingerprint path entries =
   close_out oc;
   Sys.rename tmp path
 
-(* --- cell solver ---------------------------------------------------------- *)
+(* --- sweep cell ---------------------------------------------------------- *)
 
-(* The per-cell solve of [sweep_classes], factored to toplevel so the
+(* The per-cell task of [sweep_classes], factored to toplevel so the
    same code runs behind every transport: the sequential path, local
    fork workers, and remote TCP worker sessions (the [Dist.Registry]
-   entry below). Each call builds fresh per-process incremental state:
-   the first cell of a class builds the model; subsequent cells of the
-   same class (in the same process) patch only the QoS rhs and reuse the
-   prepared constraint matrix. Because a patched model is
-   value-identical to a fresh build at its fraction, and every cell
-   starts the solver cold, the results do not depend on which cell
-   seeded which cache — the sweep stays byte-identical however the
-   cells are distributed. *)
-let make_cell_solver ~solver ?placeable ~tlat_ms spec =
-  let model_cache : (string, Mcperf.Model.t * float) Hashtbl.t =
-    Hashtbl.create 8
+   entry below). The bound itself is [cell], the function behind
+   [compute], so a sweep cell is a pure function of (spec, class,
+   fraction) however the cells are distributed. What is specific to
+   sweep cells is wrapped around it: the fault-injection points, keyed
+   by the cell, and a span in the task scope tagged with the class and
+   fraction it computed and how the solve went. *)
+let sweep_cell ~solver ?placeable ~tlat_ms spec (key, label, cls, fraction) =
+  Obs.Metrics.incr (Lazy.force m_cells);
+  let sp =
+    Obs.Trace.span_begin "pipeline.cell"
+      ~attrs:
+        [
+          ("class", Obs.Trace.Str label);
+          ("fraction", Obs.Trace.Float fraction);
+        ]
   in
-  let prep_cache : (string, Lp.Pdhg.prepared) Hashtbl.t = Hashtbl.create 8 in
-  let solve_cell (key, label, cls, fraction) =
+  let solve () =
     (* Deterministic fault-injection points: both fire only inside a pool
        worker on a task's first attempt, so the supervisor's retry always
        completes the cell. *)
@@ -945,100 +942,22 @@ let make_cell_solver ~solver ?placeable ~tlat_ms spec =
     let spec =
       { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
     in
-    let cached = Hashtbl.find_opt model_cache label in
-    let perm, worst_qos =
-      match cached with
-      | Some (base, worst_qos) ->
-        ( Mcperf.Permission.with_fraction base.Mcperf.Model.permission
-            fraction,
-          worst_qos )
-      | None ->
-        let perm = Mcperf.Permission.compute ?placeable spec cls in
-        let worst_qos =
-          Array.fold_left Float.min 1.
-            (Mcperf.Permission.max_feasible_qos perm)
-        in
-        (perm, worst_qos)
-    in
-    if not (Mcperf.Permission.feasible perm) then begin
-      (* Attach a verified Farkas ray so the feasibility ceiling is
-         certified, not just asserted. [with_fraction] is value-identical
-         to a fresh build, so the witness is cache-independent. *)
-      let model =
-        match cached with
-        | Some (base, _) -> Mcperf.Model.with_fraction base fraction
-        | None -> Mcperf.Model.build perm
-      in
-      infeasible_result
-        ?ray:(farkas_of model.Mcperf.Model.problem)
-        cls worst_qos
-    end
-    else begin
-      (* Exact tree cells bypass the model/prep caches entirely; LP cells
-         behave exactly as before, so mixed tree/LP series (atomicity can
-         hold at one fraction and fail at another) stay deterministic. *)
-      let dp =
-        match solver with
-        | Auto -> tree_cell ?placeable spec cls perm worst_qos
-        | Exact_simplex | First_order _ -> None
-      in
-      match dp with
-      | Some cell -> cell
-      | None ->
-      let model =
-        match cached with
-        | Some (base, _) -> Mcperf.Model.with_fraction base fraction
-        | None ->
-          let m = Mcperf.Model.build perm in
-          Hashtbl.replace model_cache label (m, worst_qos);
-          m
-      in
-      let reuse = Hashtbl.find_opt prep_cache label in
-      let inject_nan = Util.Faults.diverge_requested ~key in
-      (* Remaining share of the cell's budget, installed by the pool from
-         [budget_of] at dispatch. Unbudgeted sweeps never read the clock
-         here, preserving byte-identical output at every [--jobs]. *)
-      let deadline_s =
-        let d = Util.Parallel.task_deadline () in
-        if Float.is_finite d then Some (d -. Unix.gettimeofday ()) else None
-      in
-      let r =
-        solve_relaxation ~solver ?reuse ~inject_nan ?deadline_s
-          model.Mcperf.Model.problem
-      in
-      (match r.prep with
-      | Some p -> Hashtbl.replace prep_cache label p
-      | None -> ());
-      match r.outcome with
-      | None -> infeasible_result ?ray:r.infeasible_ray cls worst_qos
-      | Some sol ->
-        finish ~round:Rounding.Round.round ~path:r.path model cls worst_qos sol
-    end
+    cell
+      ~inject_nan:(Util.Faults.diverge_requested ~key)
+      ~solver ?placeable spec cls
   in
-  (* Each cell gets a span in its task scope, tagged with the class and
-     fraction it computed and how the solve went. *)
-  fun ((_, label, _, fraction) as cell) ->
-    Obs.Metrics.incr (Lazy.force m_cells);
-    let sp =
-      Obs.Trace.span_begin "pipeline.cell"
-        ~attrs:
-          [
-            ("class", Obs.Trace.Str label);
-            ("fraction", Obs.Trace.Float fraction);
-          ]
-    in
-    match solve_cell cell with
-    | r ->
-      Obs.Trace.span_end sp
-        ~attrs:
-          [
-            ("path", Obs.Trace.Str (path_label r.solve_path));
-            ("quality", Obs.Trace.Str (quality_label r.quality));
-          ];
-      r
-    | exception e ->
-      Obs.Trace.span_end sp;
-      raise e
+  match solve () with
+  | r ->
+    Obs.Trace.span_end sp
+      ~attrs:
+        [
+          ("path", Obs.Trace.Str (path_label r.solve_path));
+          ("quality", Obs.Trace.Str (quality_label r.quality));
+        ];
+    r
+  | exception e ->
+    Obs.Trace.span_end sp;
+    raise e
 
 (* --- distributed dispatch ------------------------------------------------- *)
 
@@ -1059,11 +978,12 @@ let dist_fn = "pipeline.sweep-cell"
 let () =
   Dist.Registry.register dist_fn (fun blob ->
       let ctx = (Marshal.from_string blob 0 : dist_cell_ctx) in
-      let solve =
-        make_cell_solver ~solver:ctx.dc_solver ?placeable:ctx.dc_placeable
-          ~tlat_ms:ctx.dc_tlat_ms ctx.dc_spec
-      in
-      fun index -> Marshal.to_string (solve ctx.dc_cells.(index) : t) [])
+      fun index ->
+        Marshal.to_string
+          (sweep_cell ~solver:ctx.dc_solver ?placeable:ctx.dc_placeable
+             ~tlat_ms:ctx.dc_tlat_ms ctx.dc_spec ctx.dc_cells.(index)
+            : t)
+          [])
 
 (* Sweep knobs as one record with [with_*] builders: call sites stay
    readable and new knobs ride along without touching every caller. *)
@@ -1162,7 +1082,6 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     Log.info (fun f ->
         f "resuming sweep: %d/%d cells restored from journal" resumed
           (List.length keyed_cells));
-  let solve = make_cell_solver ~solver ?placeable ~tlat_ms spec in
   let total = List.length keyed_cells in
   let completed_count = ref resumed in
   let journal_entries =
@@ -1251,7 +1170,8 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     end
   in
   let outcomes =
-    Util.Parallel.map ~jobs ?timeout_s ?budget_of ~remote ~on_result ~f:solve
+    Util.Parallel.map ~jobs ?timeout_s ?budget_of ~remote ~on_result
+      ~f:(sweep_cell ~solver ?placeable ~tlat_ms spec)
       pending
   in
   let elapsed_s = Unix.gettimeofday () -. t0 in

@@ -130,7 +130,10 @@ val compute :
   t
 (** Raises [Invalid_argument] only on malformed inputs; class infeasibility
     and solver truncation are reported in the result. [placeable]
-    restricts replica-hosting nodes (Section 6.2 phase two). *)
+    restricts replica-hosting nodes (Section 6.2 phase two). Inside a
+    budgeted {!Util.Parallel} task the first-order solver stops by the
+    task's {!Util.Parallel.task_deadline} and rounding is skipped once it
+    has passed; anywhere else no clock is read. *)
 
 val compare_classes :
   ?solver:solver ->
@@ -168,10 +171,12 @@ val certify :
 
     The figure sweeps evaluate every heuristic class at every QoS point —
     an embarrassingly parallel grid. {!sweep_classes} runs one task per
-    (class, point) cell through {!Util.Parallel}. Cells are solved
-    independently (no cross-point warm starting), so a cell's result is a
-    pure function of [(spec, class, point)] and the sweep output is
-    byte-identical at every [jobs] value. *)
+    (class, point) cell through {!Util.Parallel}. Every cell runs the
+    same code as {!compute} at its point, from scratch: no model, solver
+    image or warm start is carried from one cell to the next. So a
+    cell's result equals {!compute}'s and is a pure function of
+    [(spec, class, point)], and the sweep output is byte-identical at
+    every [jobs] value. *)
 
 type task_stat = {
   label : string;  (** the class's display label *)

@@ -76,12 +76,12 @@ grep -q 'all checks passed' "$treedir/j1.out" \
   || { echo "tree stage: bound ordering violations"; exit 1; }
 echo "tree stage OK: $(grep -c 'tree-dp' "$treedir/j1.out") DP cells, outputs identical across --jobs"
 
-# Scale stage: the bundled + sharded Lagrangian sweep (DESIGN.md §13)
-# prints no wall clocks on stdout (timings go to stderr), so runs at
-# --jobs 1 and 4 must agree to the byte — any diff is shard
-# nondeterminism. --check additionally gates the decomposition on a
-# small instance: the dual must sit below the exact simplex optimum
-# (bound sandwich) and the bundled bound must equal the
+# Scale stage: the bundled Lagrangian sweep, one pool task per QoS
+# fraction (DESIGN.md §13), prints no wall clocks on stdout (timings go
+# to stderr), so runs at --jobs 1 and 4 must agree to the byte — any
+# diff is dispatch nondeterminism. --check additionally gates the
+# decomposition on a small instance: the dual must sit below the exact
+# simplex optimum (bound sandwich) and the bundled bound must equal the
 # forced-unbundled one bit for bit (the family is homogeneous).
 echo "== scale stage: bundled Lagrangian sweep at --jobs 1 and 4 =="
 scaledir=_build/scale-check
@@ -224,4 +224,12 @@ cmp "$onlinedir/k4.last" "$onlinedir/k12.last" \
   > "$onlinedir/strategy.out"
 grep -q 'all strategy-port checks passed' "$onlinedir/strategy.out" \
   || { echo "online stage: ported strategies diverge from the legacy route"; exit 1; }
+# Malformed serve options are usage errors (cmdliner exit 124), caught
+# before any work starts, never an uncaught library exception (125).
+for bad in "--intervals 0" "--epoch-intervals 0" "--fraction nan" "--fraction 1.5"; do
+  status=0
+  ./_build/default/bin/experiments.exe serve $bad > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 124 ] \
+    || { echo "online stage: serve $bad exited $status, want 124"; exit 1; }
+done
 echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs and $(wc -l < "$onlinedir/j1.jsonl") trace events identical across --jobs, final epoch equal to a one-epoch run, $(grep -c ' ok ' "$onlinedir/strategy.out") port checks passed"

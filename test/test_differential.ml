@@ -363,33 +363,40 @@ let test_with_fraction_identity () =
       end)
     sweep_fixture
 
-(* The cached sweep path (shared model + prepared matrix per class) must
-   produce exactly what per-cell [compute] produces from scratch. *)
+(* A sweep cell runs the same code as [compute]: every cell, whether
+   computed in the parent (jobs 1) or in a forked worker (jobs 2), must
+   equal a direct [compute] at its point. *)
 let test_sweep_matches_percell_compute () =
   let spec, _ = quickstart_spec () in
   let fractions = [ 0.95; 0.99; 0.999 ] in
-  let sweep =
-    Bounds.Pipeline.sweep_classes Bounds.Pipeline.Sweep_config.default spec
-      ~fractions sweep_fixture
-  in
-  List.iter2
-    (fun (label, cls) (label', cells) ->
-      Alcotest.(check string) "class order preserved" label label';
-      List.iter
-        (fun (fraction, (r : Bounds.Pipeline.t)) ->
-          let spec' =
-            {
-              spec with
-              Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms = 150.; fraction };
-            }
-          in
-          let direct = Bounds.Pipeline.compute spec' cls in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s @ %g: sweep cell equals direct compute" label
-               fraction)
-            true (r = direct))
-        cells)
-    sweep_fixture sweep.Bounds.Pipeline.per_class
+  List.iter
+    (fun jobs ->
+      let sweep =
+        Bounds.Pipeline.sweep_classes
+          Bounds.Pipeline.Sweep_config.(default |> with_jobs jobs)
+          spec ~fractions sweep_fixture
+      in
+      List.iter2
+        (fun (label, cls) (label', cells) ->
+          Alcotest.(check string) "class order preserved" label label';
+          List.iter
+            (fun (fraction, (r : Bounds.Pipeline.t)) ->
+              let spec' =
+                {
+                  spec with
+                  Mcperf.Spec.goal =
+                    Mcperf.Spec.Qos { tlat_ms = 150.; fraction };
+                }
+              in
+              let direct = Bounds.Pipeline.compute spec' cls in
+              Alcotest.(check bool)
+                (Printf.sprintf
+                   "%s @ %g, jobs=%d: sweep cell equals direct compute" label
+                   fraction jobs)
+                true (r = direct))
+            cells)
+        sweep_fixture sweep.Bounds.Pipeline.per_class)
+    [ 1; 2 ]
 
 let test_runner_determinism () =
   let spec, trace = quickstart_spec () in

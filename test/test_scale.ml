@@ -1,6 +1,6 @@
 (* Tests for the scale machinery: object bundling (Mcperf.Bundle), the
-   bundled + sharded Lagrangian decomposition, and the CDN scale
-   scenario family. *)
+   bundled Lagrangian decomposition with its one-task-per-fraction
+   dispatch, and the CDN scale scenario family. *)
 
 module SS = Replica_select.Scale_scenario
 
@@ -176,20 +176,43 @@ let prop_bound_monotone_in_iterations =
           b1 <= b2 && b2 <= b3)
         [ Bounds.Lagrangian.Harmonic; Bounds.Lagrangian.Adaptive ])
 
-(* --- sharded dispatch is invisible --------------------------------------- *)
+(* --- per-fraction dispatch is invisible ---------------------------------- *)
 
 let signature (outs : (float * Bounds.Lagrangian.outcome) list) =
   Marshal.to_string outs [ Marshal.No_sharing ]
+
+let sweep_fractions = [ 0.9; 0.95; 0.99 ]
 
 let test_jobs_identical () =
   let spec = small_spec () in
   let sweep_at jobs =
     Bounds.Lagrangian.sweep ~iterations:20 ~jobs spec Mcperf.Classes.general
-      ~fractions:[ 0.9; 0.95; 0.99 ]
+      ~fractions:sweep_fractions
   in
-  Alcotest.(check bool)
-    "jobs=1 and jobs=4 byte-identical" true
-    (signature (sweep_at 1) = signature (sweep_at 4))
+  let reference = signature (sweep_at 1) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=1 and jobs=%d byte-identical" jobs)
+        true
+        (reference = signature (sweep_at jobs)))
+    [ 2; 4 ]
+
+(* The pool is entered once per sweep, never inside the subgradient
+   loop: each [Util.Parallel] map advances the phase counter by one. *)
+let test_one_dispatch_per_sweep () =
+  let spec = small_spec () in
+  List.iter
+    (fun jobs ->
+      let before = Util.Parallel.current_phase () in
+      ignore
+        (Bounds.Lagrangian.sweep ~iterations:5 ~jobs spec
+           Mcperf.Classes.general ~fractions:sweep_fractions);
+      Alcotest.(check int)
+        (Printf.sprintf "one dispatch at jobs=%d" jobs)
+        1
+        (Util.Parallel.current_phase () - before))
+    [ 1; 2 ]
 
 let test_sweep_matches_pointwise_bound () =
   (* The sweep shares the bundling and subproblem models across points;
@@ -243,6 +266,8 @@ let () =
           Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_identical;
           Alcotest.test_case "sweep = pointwise bounds" `Quick
             test_sweep_matches_pointwise_bound;
+          Alcotest.test_case "one pool dispatch per sweep" `Quick
+            test_one_dispatch_per_sweep;
         ] );
       ("properties", props);
     ]
